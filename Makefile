@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; see README.md "Reproducing the paper".
 
-.PHONY: build test lint lint-typed bench bench-smoke bench-determinism chaos-smoke scale-smoke couple-smoke serve-smoke attack-smoke clean
+.PHONY: build test lint lint-typed bench bench-smoke bench-determinism chaos-smoke scale-smoke couple-smoke serve-smoke attack-smoke pipeline-smoke clean
 
 build:
 	dune build @all
@@ -85,7 +85,8 @@ couple-smoke:
 # Verification service determinism: batch answers (JSON lines on stdout)
 # must be byte-identical across --domains 1 and 2 on cold caches, and a
 # warm rerun over the first run's on-disk cache must reproduce the cold
-# output exactly — answers never depend on where they were computed.
+# output exactly — answers never depend on where they were computed.  A
+# query with dim < 2 must fail the batch with exit 2 and a line error.
 serve-smoke:
 	printf 'dim=7 seed=1\ndim=7 seed=1 slp=true sd=2\ndim=9 seed=2 r=2 h=2 m=1 decide=history-avoiding\ndim=7 seed=1\n' \
 	  > _build/serve_queries.txt
@@ -99,6 +100,12 @@ serve-smoke:
 	  --domains 1 --cache-dir _build/serve_cache_a > _build/serve_warm.out
 	diff -u _build/serve_d1.out _build/serve_warm.out
 	@echo "serve answers byte-identical across domain counts and warm cache"
+	printf 'dim=11 seed=1\ndim=1 seed=1\n' > _build/serve_bad_dim.txt
+	status=0; dune exec bin/slp_das_cli.exe -- serve _build/serve_bad_dim.txt \
+	  > /dev/null 2> _build/serve_bad_dim.err || status=$$?; \
+	  test $$status -eq 2 \
+	  && grep -q '^line 2: dim must be >= 2, got 1$$' _build/serve_bad_dim.err
+	@echo "serve rejects dim < 2 with exit 2 and a line error"
 
 # Adversary-zoo end-to-end: a mixed exhaustive/Monte-Carlo query file
 # (every attacker class, one duplicate line for the MC cache) served at one
@@ -117,6 +124,17 @@ attack-smoke:
 	  --domains 1 --cache-dir _build/attack_cache_a > _build/attack_warm.out
 	diff -u _build/attack_d1.out _build/attack_warm.out
 	@echo "MC certification byte-identical across domain counts and warm cache"
+
+# Pipeline benchmark end to end: one second of each workload must finish
+# with every operation's output passing its exact check.
+pipeline-smoke:
+	for w in des-fig5 grid-pipeline serve-mix; do \
+	  bash bench/pipeline/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 \
+	    > _build/pipeline_$$w.out || exit 1; \
+	  tail -n 1 _build/pipeline_$$w.out | grep -q '"correct": true' \
+	    || { echo "pipeline-smoke: $$w output failed its checks"; exit 1; }; \
+	done
+	@echo "pipeline workloads ran with every output check passing"
 
 clean:
 	dune clean

@@ -953,7 +953,8 @@ let parse_serve_query ~line_no line =
         Result.bind r (fun () -> go rest))
   in
   Result.bind (go tokens) (fun q ->
-      if q.q_attacker <> Slpdas_attack.Model.Local && q.q_mc <= 0 then
+      if q.q_dim < 2 then fail "line %d: dim must be >= 2, got %d" line_no q.q_dim
+      else if q.q_attacker <> Slpdas_attack.Model.Local && q.q_mc <= 0 then
         fail "line %d: attacker=%s requires mc=<trials> (> 0)" line_no
           (Slpdas_attack.Model.to_string q.q_attacker)
       else Ok q)

@@ -27,116 +27,151 @@ let fixpoint ?(delta = default_delta) ?(salt = 0) ~strong g ~schedule ~parent
   let n = Slpdas_wsn.Graph.n g in
   let sink = Schedule.sink schedule in
   let hop = Slpdas_wsn.Graph.bfs_distances g sink in
-  let by_hop =
-    List.sort
-      (fun a b ->
-        match Int.compare hop.(a) hop.(b) with
-        | 0 -> Int.compare a b
-        | c -> c)
-      (List.init n (fun v -> v))
-  in
-  (* Pass-invariant per-node rows, computed once: [hop] never changes inside
-     the fixpoint, yet deep grids run hundreds of passes, and rebuilding the
-     shortest-path-parent lists and two-hop neighbourhoods on every visit
-     dominated wall-clock beyond ~10⁵ nodes.  Row contents and order are
-     exactly what the per-visit calls produced. *)
-  let sp_parents =
+  let by_hop = Array.init n Fun.id in
+  Array.sort
+    (fun a b ->
+      match Int.compare hop.(a) hop.(b) with 0 -> Int.compare a b | c -> c)
+    by_hop;
+  let position = Array.make n 0 in
+  Array.iteri (fun i v -> position.(v) <- i) by_hop;
+  (* Unboxed slot mirror, [min_int] = unassigned.  Every write also goes to
+     [schedule], so it is current even when the fuel bound raises. *)
+  let slot =
     Array.init n (fun v ->
-        Array.of_list (Slpdas_wsn.Graph.shortest_path_parents g ~dist:hop v))
+        match Schedule.slot schedule v with Some s -> s | None -> min_int)
   in
+  let view v = if v = sink then delta else slot.(v) in
   let two_hop =
     Array.init n (fun v ->
         Array.of_list (Slpdas_wsn.Graph.two_hop_neighbourhood g v))
   in
-  let fuel = ref ((50 * n) + 100) in
+  (* Rows are sorted, so the partners [m > v] that phase 2 probes form a
+     suffix; [above.(v)] is where it starts. *)
+  let above =
+    Array.init n (fun v ->
+        let row = two_hop.(v) in
+        let i = ref (Array.length row) in
+        while !i > 0 && row.(!i - 1) > v do
+          decr i
+        done;
+        !i)
+  in
+  let order_key = Array.init n (node_order_key ~salt) in
+  (* [parent] may name any node, neighbour or not (repair accepts arbitrary
+     arrays), so a slot change must also reach the nodes whose parent it
+     is. *)
+  let children = Array.make n [] in
+  for v = n - 1 downto 0 do
+    match parent.(v) with
+    | Some p -> children.(p) <- v :: children.(p)
+    | None -> ()
+  done;
+  (* Dirty sets.  A visit reads only the slots of the node, its neighbours,
+     its parent and (phase 2) its 2-hop neighbours, so with [pinned] pure a
+     node none of those changed for since its last visit would assign
+     nothing and is skipped.  Phase-1 flags are indexed by [by_hop]
+     position and phase-2 flags by node, so each pass visits dirty nodes in
+     full-sweep order; a mark behind the cursor is picked up by the next
+     pass, when a full sweep would next reach that node.  Each pass thus
+     makes the same assignments as a full sweep, and [changed] and the fuel
+     bound count the same passes. *)
+  let dirty1 = Array.make n true and dirty2 = Array.make n true in
   let changed = ref true in
+  let assign u s =
+    slot.(u) <- s;
+    Schedule.assign schedule u s;
+    changed := true;
+    dirty1.(position.(u)) <- true;
+    Array.iter
+      (fun w -> dirty1.(position.(w)) <- true)
+      (Slpdas_wsn.Graph.neighbours g u);
+    List.iter (fun c -> dirty1.(position.(c)) <- true) children.(u);
+    dirty2.(u) <- true;
+    Array.iter (fun w -> dirty2.(w) <- true) two_hop.(u)
+  in
+  (* Child-below-parent repair, outwards from the sink (the update mode of
+     Fig. 2: a child whose slot is not below its parent's re-lowers). *)
+  let relower v =
+    let sv = slot.(v) in
+    if v <> sink && sv <> min_int && not (pinned v) then begin
+      let neighbours = Slpdas_wsn.Graph.neighbours g v in
+      if strong then begin
+        (* Strong DAS (Def. 2): below the chosen parent and every
+           shortest-path parent (condition 3). *)
+        let bound = ref max_int in
+        let consider s = if s <> min_int && s < !bound then bound := s in
+        (match parent.(v) with Some p -> consider (view p) | None -> ());
+        if hop.(v) > 0 then
+          Array.iter
+            (fun m ->
+              if m <> sink && hop.(m) = hop.(v) - 1 then consider slot.(m))
+            neighbours;
+        if !bound < max_int && sv >= !bound then assign v (!bound - 1)
+      end
+      else begin
+        (* Weak DAS (Def. 3): re-lower only when no neighbour at all
+           transmits later — the least repair that keeps data flowing, and
+           the most that can be done without erasing the decoy gradient
+           Phase 3 planted (a blanket below-parent cascade would hand the
+           attacker a fresh descent from the decoy end). *)
+        let has_forwarder =
+          Array.exists (fun m -> m = sink || slot.(m) > sv) neighbours
+        in
+        if not has_forwarder then begin
+          match parent.(v) with
+          | Some p ->
+            let ps = view p in
+            if ps <> min_int && sv >= ps then assign v (ps - 1)
+          | None -> ()
+        end
+      end
+    end
+  in
+  (* [later a b]: [a] sorts after [b] by (hop, salted key, id), so [a] is
+     the one that decrements when they collide. *)
+  let later a b =
+    match Int.compare hop.(a) hop.(b) with
+    | 0 -> (
+      match Int.compare order_key.(a) order_key.(b) with
+      | 0 -> a > b
+      | c -> c > 0)
+    | c -> c > 0
+  in
+  (* 2-hop collision resolution: the node farther from the sink (ties by
+     larger id) decrements, as in the process action of Fig. 2.  [sv] stays
+     the slot read at the start of the visit even after [v] loses a
+     collision: later probes compare against it, and that order is part of
+     the schedule the oracle tests pin. *)
+  let resolve v =
+    let sv = slot.(v) in
+    if sv <> min_int then begin
+      let row = two_hop.(v) in
+      for i = above.(v) to Array.length row - 1 do
+        let m = row.(i) in
+        if slot.(m) = sv then begin
+          let loser, winner = if later v m then (v, m) else (m, v) in
+          if not (pinned loser) then assign loser (slot.(loser) - 1)
+          else if not (pinned winner) then assign winner (slot.(winner) - 1)
+        end
+      done
+    end
+  in
+  let fuel = ref ((50 * n) + 100) in
   while !changed do
     decr fuel;
     if !fuel < 0 then failwith "Das_build: slot fixpoint did not converge";
     changed := false;
-    (* Child-below-parent repair, outwards from the sink (the update mode of
-       Fig. 2: a child whose slot is not below its parent's re-lowers).  In
-       strong mode the bound is the minimum over every shortest-path parent
-       (condition 3 of Def. 2), not just the chosen one. *)
-    List.iter
-      (fun v ->
-        if v <> sink && not (pinned v) then begin
-          match Schedule.slot schedule v with
-          | None -> ()
-          | Some sv ->
-            if strong then begin
-              (* Strong DAS (Def. 2): below every shortest-path parent.  The
-                 minimum is folded directly — no bounds list — but over the
-                 same values in the same order as before. *)
-              let bound = ref max_int in
-              let consider = function
-                | Some s -> if s < !bound then bound := s
-                | None -> ()
-              in
-              (match parent.(v) with
-              | Some p -> consider (slot_view schedule ~delta p)
-              | None -> ());
-              Array.iter
-                (fun m ->
-                  if m <> sink then consider (Schedule.slot schedule m))
-                sp_parents.(v);
-              if !bound < max_int && sv >= !bound then begin
-                Schedule.assign schedule v (!bound - 1);
-                changed := true
-              end
-            end
-            else begin
-              (* Weak DAS (Def. 3): re-lower only when no neighbour at all
-                 transmits later — the least repair that keeps data flowing,
-                 and the most that can be done without erasing the decoy
-                 gradient Phase 3 planted (a blanket below-parent cascade
-                 would hand the attacker a fresh descent from the decoy
-                 end). *)
-              let has_forwarder =
-                Array.exists
-                  (fun m ->
-                    m = sink
-                    ||
-                    match Schedule.slot schedule m with
-                    | Some ms -> ms > sv
-                    | None -> false)
-                  (Slpdas_wsn.Graph.neighbours g v)
-              in
-              if not has_forwarder then begin
-                match
-                  Option.bind parent.(v) (slot_view schedule ~delta)
-                with
-                | Some ps when sv >= ps ->
-                  Schedule.assign schedule v (ps - 1);
-                  changed := true
-                | Some _ | None -> ()
-              end
-            end
-        end)
-      by_hop;
-    (* 2-hop collision resolution: the node farther from the sink (ties by
-       larger id) decrements, as in the process action of Fig. 2. *)
+    for i = 0 to n - 1 do
+      if dirty1.(i) then begin
+        dirty1.(i) <- false;
+        relower by_hop.(i)
+      end
+    done;
     for v = 0 to n - 1 do
-      match Schedule.slot schedule v with
-      | None -> ()
-      | Some sv ->
-        Array.iter
-          (fun m ->
-            if m > v && Schedule.slot schedule m = Some sv then begin
-              let key u = (hop.(u), node_order_key ~salt u, u) in
-              let loser, winner = if key v > key m then (v, m) else (m, v) in
-              let target =
-                if not (pinned loser) then Some loser
-                else if not (pinned winner) then Some winner
-                else None
-              in
-              match target with
-              | Some t ->
-                Schedule.assign schedule t (Schedule.slot_exn schedule t - 1);
-                changed := true
-              | None -> ()
-            end)
-          two_hop.(v)
+      if dirty2.(v) then begin
+        dirty2.(v) <- false;
+        resolve v
+      end
     done
   done
 

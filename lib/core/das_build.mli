@@ -82,6 +82,14 @@ val repair :
     never modified (used by slot refinement to protect the decoy path).
     Mutates [schedule] in place.
 
+    Each pass re-examines only nodes whose own slot, a neighbour's, their
+    parent's or a 2-hop neighbour's slot changed since they were last
+    examined, so [pinned] must be pure: it is consulted only for those
+    nodes, and an answer that changed between calls would go unnoticed.
+    Nodes are reached through their parent by a reverse index built from
+    [parent], so any parent array is valid, including entries that are
+    not neighbours.
+
     With [strong = false] (default) only the chosen-parent ordering is
     enforced — yielding a {e weak} DAS, the most the refined schedule can
     satisfy: the redirection deliberately places a decoy below nodes whose

@@ -1017,6 +1017,231 @@ let test_safety_factor_validated () =
     (Invalid_argument "Safety: factor must satisfy 1 < Cs < 2 (Eq. 1)")
     (fun () -> ignore (Safety.safety_periods ~factor:2.5 ~delta_ss:5 ()))
 
+(* ------------------------------------------------------------------ *)
+(* Das_build fixpoint vs the pass-based oracle                        *)
+(* ------------------------------------------------------------------ *)
+
+module Oracle = Das_fixpoint_oracle
+
+let check_same_build label (a : Das_build.result) (b : Oracle.result) =
+  Alcotest.(check bool) (label ^ ": schedule") true
+    (Schedule.equal a.Das_build.schedule b.Oracle.schedule);
+  Alcotest.(check (array (option int))) (label ^ ": parent")
+    b.Oracle.parent a.Das_build.parent;
+  Alcotest.(check (array int)) (label ^ ": hop") b.Oracle.hop a.Das_build.hop
+
+let check_build_matches_oracle label ?seed g ~sink =
+  let rng () = Option.map Rng.create seed in
+  check_same_build label
+    (Das_build.build ?rng:(rng ()) g ~sink)
+    (Oracle.build ?rng:(rng ()) g ~sink)
+
+let test_oracle_build_grids () =
+  for dim = 5 to 41 do
+    let topo = Topology.grid dim in
+    List.iter
+      (fun seed ->
+        check_build_matches_oracle
+          (Printf.sprintf "grid %d seed %s" dim
+             (Option.fold ~none:"-" ~some:string_of_int seed))
+          ?seed topo.Topology.graph ~sink:topo.Topology.sink)
+      [ None; Some dim; Some (1000 + dim) ]
+  done
+
+let test_oracle_build_large_grid () =
+  let topo = Topology.grid 101 in
+  check_build_matches_oracle "grid 101 seed 1" ~seed:1 topo.Topology.graph
+    ~sink:topo.Topology.sink
+
+let test_oracle_build_unit_disk () =
+  let built = ref 0 in
+  for seed = 1 to 40 do
+    match
+      Topology.random_unit_disk (Rng.create seed) ~n:(20 + seed) ~side:40.0
+        ~range:12.0 ~max_attempts:1
+    with
+    | None -> ()
+    | Some topo ->
+      incr built;
+      List.iter
+        (fun build_seed ->
+          check_build_matches_oracle
+            (Printf.sprintf "unit disk %d" seed)
+            ?seed:build_seed topo.Topology.graph ~sink:topo.Topology.sink)
+        [ None; Some seed ]
+  done;
+  Alcotest.(check bool) "some topologies drawn" true (!built > 10)
+
+(* Both repairs on copies of one input; a [Failure] (fuel exhausted) must
+   happen on both sides, with the schedules left in the same state. *)
+let check_repair_matches_oracle label ~strong ~salt g ~schedule ~parent
+    ~pinned =
+  let run repair =
+    let s = Schedule.copy schedule in
+    let outcome =
+      match repair ~strong ~salt g ~schedule:s ~parent ~pinned with
+      | () -> "converged"
+      | exception Failure msg -> msg
+    in
+    (outcome, s)
+  in
+  let outcome, repaired =
+    run (fun ~strong ~salt -> Das_build.repair ~strong ~salt)
+  in
+  let oracle_outcome, oracle_repaired =
+    run (fun ~strong ~salt -> Oracle.repair ~strong ~salt)
+  in
+  Alcotest.(check string) (label ^ ": outcome") oracle_outcome outcome;
+  Alcotest.(check bool) (label ^ ": schedule") true
+    (Schedule.equal oracle_repaired repaired)
+
+(* Decoy-like damage: lower a few random slots below their surroundings and
+   pin a random set of nodes, as refinement does with its change path. *)
+let perturbed_repair_inputs ~dim ~seed =
+  let topo = Topology.grid dim in
+  let g = topo.Topology.graph in
+  let rng = Rng.create seed in
+  let das = Das_build.build ~rng g ~sink:topo.Topology.sink in
+  let schedule = Schedule.copy das.Das_build.schedule in
+  let n = Graph.n g in
+  for _ = 1 to 1 + Rng.int rng dim do
+    let v = Rng.int rng n in
+    if v <> topo.Topology.sink then
+      Schedule.assign schedule v (Schedule.slot_exn schedule v - Rng.int rng 30)
+  done;
+  let pinned = Array.init n (fun _ -> Rng.int rng 8 = 0) in
+  (g, rng, das, schedule, fun v -> pinned.(v))
+
+let test_oracle_repair_pinned () =
+  for dim = 5 to 15 do
+    for seed = 1 to 6 do
+      let g, rng, das, schedule, pinned =
+        perturbed_repair_inputs ~dim ~seed:((100 * dim) + seed)
+      in
+      List.iter
+        (fun strong ->
+          check_repair_matches_oracle
+            (Printf.sprintf "grid %d seed %d strong %b" dim seed strong)
+            ~strong ~salt:(Rng.int rng 1000) g ~schedule
+            ~parent:das.Das_build.parent ~pinned)
+        [ false; true ]
+    done
+  done
+
+(* Parents that are not neighbours: only the reverse-parent index tells a
+   node that its parent's slot moved. *)
+let test_oracle_repair_foreign_parents () =
+  for dim = 5 to 11 do
+    for seed = 1 to 6 do
+      let g, rng, das, schedule, pinned =
+        perturbed_repair_inputs ~dim ~seed:((100 * dim) + seed)
+      in
+      let n = Graph.n g in
+      let parent =
+        Array.mapi
+          (fun v p ->
+            if p <> None && Rng.int rng 3 = 0 then begin
+              let q = Rng.int rng n in
+              if q = v then p else Some q
+            end
+            else p)
+          das.Das_build.parent
+      in
+      List.iter
+        (fun strong ->
+          check_repair_matches_oracle
+            (Printf.sprintf "grid %d seed %d strong %b foreign parents" dim seed
+               strong)
+            ~strong ~salt:0 g ~schedule ~parent ~pinned)
+        [ false; true ]
+    done
+  done
+
+(* Path 0-1-2-3-4-5, sink 0.  Node 5 has no forwarder and names node 2,
+   three hops away, as its parent.  Node 2 loses its collision with node 1
+   in the first pass's phase 2, after node 5 was visited, so only the
+   reverse-parent index brings node 5 back in the second pass. *)
+let test_oracle_repair_foreign_parent_line () =
+  let g = Graph.create ~n:6 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5) ] in
+  let schedule =
+    Schedule.of_alist ~n:6 ~sink:0 [ (1, 50); (2, 50); (3, 10); (4, 20); (5, 49) ]
+  in
+  let parent = [| None; Some 0; None; Some 2; Some 3; Some 2 |] in
+  let pinned _ = false in
+  check_repair_matches_oracle "foreign parent line" ~strong:false ~salt:0 g
+    ~schedule ~parent ~pinned;
+  Das_build.repair g ~schedule ~parent ~pinned;
+  Alcotest.(check (list (pair int int))) "node 5 below its new parent slot"
+    [ (1, 50); (2, 49); (3, 10); (4, 20); (5, 48) ]
+    (Schedule.to_alist schedule)
+
+(* [Slp_refine.refine]'s last draw is its repair salt, [1 + Rng.int r
+   0x3FFF_FFFF], which takes one 64-bit step.  Count the steps the seeded
+   build and refinement took by finding the generator's next output in a
+   replay, then redraw the salt from a replay stopped one step short. *)
+let refine_salt ~seed ~after =
+  let next = Rng.bits64 (Rng.copy after) in
+  let replay = Rng.create seed in
+  let steps = ref 1 in
+  while not (Int64.equal (Rng.bits64 replay) next) do
+    if !steps > 10_000_000 then Alcotest.fail "refine rng not found in replay";
+    incr steps
+  done;
+  let r = Rng.create seed in
+  for _ = 1 to !steps - 2 do
+    ignore (Rng.bits64 r)
+  done;
+  1 + Rng.int r 0x3FFF_FFFF
+
+let test_oracle_refine () =
+  let refined = ref 0 in
+  for dim = 7 to 21 do
+    let topo = Topology.grid dim in
+    let g = topo.Topology.graph and sink = topo.Topology.sink in
+    List.iter
+      (fun seed ->
+        let rng = Option.map Rng.create seed in
+        let das = Das_build.build ?rng g ~sink in
+        match
+          Slp_refine.refine ?rng g ~das ~search_distance:(1 + (dim mod 3))
+            ~change_length:(dim / 2)
+        with
+        | None -> ()
+        | Some r ->
+          incr refined;
+          let salt =
+            match (seed, rng) with
+            | Some seed, Some after -> refine_salt ~seed ~after
+            | _ -> 0
+          in
+          (* Refinement's input to repair: the built schedule with the change
+             path's slots, which repair never moves. *)
+          let pre = Schedule.copy das.Das_build.schedule in
+          let on_path = Array.make (Graph.n g) false in
+          List.iter
+            (fun v ->
+              on_path.(v) <- true;
+              Schedule.assign pre v (Schedule.slot_exn r.Slp_refine.refined v))
+            r.Slp_refine.change_path;
+          let label =
+            Printf.sprintf "refine grid %d seed %s" dim
+              (Option.fold ~none:"-" ~some:string_of_int seed)
+          in
+          List.iter
+            (fun (side, repair) ->
+              let s = Schedule.copy pre in
+              repair ~salt g ~schedule:s ~parent:das.Das_build.parent
+                ~pinned:(fun v -> on_path.(v));
+              Alcotest.(check bool) (label ^ " " ^ side) true
+                (Schedule.equal r.Slp_refine.refined s))
+            [
+              ("= repair", fun ~salt -> Das_build.repair ~strong:false ~salt);
+              ("= oracle", fun ~salt -> Oracle.repair ~strong:false ~salt);
+            ])
+      [ None; Some dim; Some (50 + dim); Some (90 + dim) ]
+  done;
+  Alcotest.(check bool) "most refinements found a start" true (!refined > 40)
+
 let () =
   Alcotest.run "core"
     [
@@ -1056,6 +1281,19 @@ let () =
           QCheck_alcotest.to_alcotest prop_build_strong_on_grids;
           QCheck_alcotest.to_alcotest prop_build_strong_on_unit_disk;
           QCheck_alcotest.to_alcotest prop_build_parents_are_shortest_path;
+        ] );
+      ( "das-fixpoint-oracle",
+        [
+          Alcotest.test_case "build, grids 5-41" `Quick test_oracle_build_grids;
+          Alcotest.test_case "build, seeded 101x101" `Quick
+            test_oracle_build_large_grid;
+          Alcotest.test_case "build, unit disks" `Quick test_oracle_build_unit_disk;
+          Alcotest.test_case "repair, pinned sets" `Quick test_oracle_repair_pinned;
+          Alcotest.test_case "repair, foreign parents" `Quick
+            test_oracle_repair_foreign_parents;
+          Alcotest.test_case "repair, foreign parent on a line" `Quick
+            test_oracle_repair_foreign_parent_line;
+          Alcotest.test_case "refine outputs" `Quick test_oracle_refine;
         ] );
       ( "attacker",
         [

@@ -1282,7 +1282,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_build_strong_on_unit_disk;
           QCheck_alcotest.to_alcotest prop_build_parents_are_shortest_path;
         ] );
-      ( "das-fixpoint-oracle",
+      ( "das-oracle",
         [
           Alcotest.test_case "build, grids 5-41" `Quick test_oracle_build_grids;
           Alcotest.test_case "build, seeded 101x101" `Quick

@@ -86,7 +86,8 @@ couple-smoke:
 # must be byte-identical across --domains 1 and 2 on cold caches, and a
 # warm rerun over the first run's on-disk cache must reproduce the cold
 # output exactly — answers never depend on where they were computed.  A
-# query with dim < 2 must fail the batch with exit 2 and a line error.
+# query with dim < 2, or any other out-of-range key (r, safety, source,
+# mc, an SLP gap), must fail the batch with exit 2 and a line error.
 serve-smoke:
 	printf 'dim=7 seed=1\ndim=7 seed=1 slp=true sd=2\ndim=9 seed=2 r=2 h=2 m=1 decide=history-avoiding\ndim=7 seed=1\n' \
 	  > _build/serve_queries.txt
@@ -106,14 +107,32 @@ serve-smoke:
 	  test $$status -eq 2 \
 	  && grep -q '^line 2: dim must be >= 2, got 1$$' _build/serve_bad_dim.err
 	@echo "serve rejects dim < 2 with exit 2 and a line error"
+	for case in 'r=0|r must be >= 1, got 0' \
+	  'safety=-1|safety must be >= 0, got -1' \
+	  'attacker=global mc=64 safety=-1|safety must be >= 0, got -1' \
+	  'source=999|source must be a node 0..48 of the 7x7 grid, got 999' \
+	  'mc=-3|mc must be >= 0, got -3' \
+	  'slp=true gap=0|gap must be >= 1, got 0'; do \
+	  printf 'dim=7 seed=1\ndim=7 seed=1 %s\n' "$${case%%|*}" > _build/serve_bad.txt; \
+	  status=0; dune exec bin/slp_das_cli.exe -- serve _build/serve_bad.txt \
+	    > /dev/null 2> _build/serve_bad.err || status=$$?; \
+	  { test $$status -eq 2 \
+	    && grep -qxF "line 2: $${case#*|}" _build/serve_bad.err; } \
+	    || { echo "serve-smoke: '$${case%%|*}' not rejected"; exit 1; }; \
+	done
+	@echo "serve rejects out-of-range keys with exit 2 and a line error"
 
 # Adversary-zoo end-to-end: a mixed exhaustive/Monte-Carlo query file
 # (every attacker class, one duplicate line for the MC cache) served at one
 # and two domains must print byte-identical JSON answer lines, and a warm
 # rerun over the first run's disk cache must reproduce the cold output.
+# The r = 1 lines take the branch-free single walk of Mc_verify; the r = 2
+# and r = 3 coop/sector lines branch and run every trial.
 attack-smoke:
 	printf 'dim=7 seed=1\ndim=7 seed=1 attacker=global mc=64\ndim=7 seed=2 attacker=coop:3 mc=64\ndim=9 seed=2 attacker=sector-phantom mc=128\ndim=7 seed=1 attacker=local mc=64\ndim=7 seed=1 attacker=global mc=64\n' \
 	  > _build/attack_queries.txt
+	printf 'dim=9 seed=3 attacker=coop:2 r=2 mc=64\ndim=9 seed=3 attacker=sector-phantom r=3 mc=64\ndim=7 seed=2 slp=true attacker=sector-phantom r=2 m=2 mc=64\ndim=9 seed=1 attacker=coop:3 r=3 h=2 mc=64\ndim=9 seed=2 attacker=local r=2 decide=history-avoiding h=2 m=2 mc=64\n' \
+	  >> _build/attack_queries.txt
 	rm -rf _build/attack_cache_a _build/attack_cache_b
 	dune exec bin/slp_das_cli.exe -- serve _build/attack_queries.txt \
 	  --domains 1 --cache-dir _build/attack_cache_a > _build/attack_d1.out

@@ -1030,32 +1030,45 @@ let attack_certification () =
             (fun i _ -> i / List.length schedules = ci)
             cold
         in
-        let caught =
+        (* Certified safe: zero sampled captures, so the Wilson upper
+           bound (not 0) is the certificate.  The widest interval shows how
+           far any schedule's capture probability is from settled. *)
+        let safe =
           List.length
             (List.filter
                (fun (r : Slpdas_attack.Mc_verify.result) ->
-                 r.Slpdas_attack.Mc_verify.captures > 0)
+                 r.Slpdas_attack.Mc_verify.captures = 0)
                answers)
         in
-        let worst =
+        let widest =
           List.fold_left
             (fun acc (r : Slpdas_attack.Mc_verify.result) ->
-              Float.max acc r.Slpdas_attack.Mc_verify.wilson_high)
+              Float.max acc
+                (r.Slpdas_attack.Mc_verify.wilson_high
+               -. r.Slpdas_attack.Mc_verify.wilson_low))
             0. answers
         in
-        (cls, answers, caught, worst))
+        (cls, answers, List.length answers - safe, safe, widest))
       classes
   in
   emit ~name:"attack_certification"
     ~header:
-      [ "class"; "schedules"; "capturing"; "worst p (Wilson hi)"; "trials" ]
+      [
+        "class";
+        "schedules";
+        "capturing";
+        "certified safe";
+        "widest Wilson width";
+        "trials";
+      ]
     (List.map
-       (fun (cls, answers, caught, worst) ->
+       (fun (cls, answers, caught, safe, widest) ->
          [
            Slpdas_attack.Model.to_string cls;
            string_of_int (List.length answers);
            string_of_int caught;
-           Printf.sprintf "%.4f" worst;
+           string_of_int safe;
+           Printf.sprintf "%.4f" widest;
            string_of_int trials;
          ])
        per_class);
@@ -1094,6 +1107,7 @@ let attack_certification () =
         "{\n\
         \  \"unit\": \"seconds per pass, warm = best of 3\",\n\
         \  \"grid\": 11,\n\
+        \  \"host_cores\": %d,\n\
         \  \"domains\": %d,\n\
         \  \"trials\": %d,\n\
         \  \"certifications\": %d,\n\
@@ -1102,14 +1116,15 @@ let attack_certification () =
         \  \"cold_qps\": %.1f,\n\
         \  \"warm_qps\": %.1f,\n\
         \  \"classes\": [\n"
+        (Slpdas_util.Pool.recommended ())
         domains trials n_queries cold_s warm_s (qps cold_s) (qps warm_s);
       List.iteri
-        (fun i (cls, answers, caught, worst) ->
+        (fun i (cls, answers, caught, safe, widest) ->
           Printf.fprintf oc
             "    {\"class\": %S, \"schedules\": %d, \"capturing\": %d, \
-             \"worst_wilson_high\": %.4f}%s\n"
+             \"certified_safe\": %d, \"widest_wilson_width\": %.4f}%s\n"
             (Slpdas_attack.Model.to_string cls)
-            (List.length answers) caught worst
+            (List.length answers) caught safe widest
             (if i = List.length per_class - 1 then "" else ","))
         per_class;
       output_string oc "  ]\n}\n";

@@ -952,12 +952,31 @@ let parse_serve_query ~line_no line =
         in
         Result.bind r (fun () -> go rest))
   in
+  (* Bounds are checked here rather than left to the library's
+     Invalid_argument: a bad line fails the batch with its line number and
+     exit 2. *)
+  let below key ~low v =
+    fail "line %d: %s must be >= %d, got %d" line_no key low v
+  in
   Result.bind (go tokens) (fun q ->
-      if q.q_dim < 2 then fail "line %d: dim must be >= 2, got %d" line_no q.q_dim
-      else if q.q_attacker <> Slpdas_attack.Model.Local && q.q_mc <= 0 then
-        fail "line %d: attacker=%s requires mc=<trials> (> 0)" line_no
-          (Slpdas_attack.Model.to_string q.q_attacker)
-      else Ok q)
+      let nodes = q.q_dim * q.q_dim in
+      if q.q_dim < 2 then below "dim" ~low:2 q.q_dim
+      else if q.q_r < 1 then below "r" ~low:1 q.q_r
+      else if q.q_h < 0 then below "h" ~low:0 q.q_h
+      else if q.q_m < 1 then below "m" ~low:1 q.q_m
+      else if q.q_mc < 0 then below "mc" ~low:0 q.q_mc
+      else if q.q_slp && q.q_sd < 1 then below "sd" ~low:1 q.q_sd
+      else if q.q_slp && q.q_gap < 1 then below "gap" ~low:1 q.q_gap
+      else
+        match (q.q_safety, q.q_source) with
+        | Some p, _ when p < 0 -> below "safety" ~low:0 p
+        | _, Some v when v < 0 || v >= nodes ->
+          fail "line %d: source must be a node 0..%d of the %dx%d grid, got %d"
+            line_no (nodes - 1) q.q_dim q.q_dim v
+        | _ when q.q_attacker <> Slpdas_attack.Model.Local && q.q_mc = 0 ->
+          fail "line %d: attacker=%s requires mc=<trials> (> 0)" line_no
+            (Slpdas_attack.Model.to_string q.q_attacker)
+        | _ -> Ok q)
 
 type serve_job =
   | Exhaustive of Slpdas_serve.Batch.item

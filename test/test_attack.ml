@@ -8,7 +8,8 @@
    - domain-count invariance of runner fan-out and cell-count invariance
      of coupled captures, per class (QCheck);
    - the Monte-Carlo certifier against the exhaustive [Verifier] on small
-     grids where both run (QCheck differential);
+     grids where both run (QCheck differential), and against the
+     all-trials oracle in mc_verify_oracle.ml (branch-free short-circuit);
    - Wilson-interval sanity, the serve-layer MC cache, [Batch.run_many_mc]
      and the attacker-labelled resilience counters. *)
 
@@ -24,6 +25,7 @@ module Das_build = Slpdas_core.Das_build
 module Attacker = Slpdas_core.Attacker
 module Verifier = Slpdas_core.Verifier
 module Safety = Slpdas_core.Safety
+module Slp_refine = Slpdas_core.Slp_refine
 module Model = Slpdas_attack.Model
 module Hunter = Slpdas_attack.Hunter
 module Mc_verify = Slpdas_attack.Mc_verify
@@ -424,6 +426,133 @@ let test_wilson_bounds () =
     (full.Mc_verify.wilson_low < 1.0)
 
 (* ------------------------------------------------------------------ *)
+(* Mc_verify.certify vs the all-trials oracle                         *)
+(* ------------------------------------------------------------------ *)
+
+module Oracle = Mc_verify_oracle
+
+(* The weak (Phase-1) schedule and, when refinement applies, the SLP one,
+   built the way the CLI's [build_schedule] builds them (sd = 3, gap = 1). *)
+let oracle_schedules dim seed =
+  let topology = Topology.grid dim in
+  let g = topology.Topology.graph in
+  let rng = Rng.create seed in
+  let das = Das_build.build ~rng g ~sink:topology.Topology.sink in
+  let delta_ss = Topology.source_sink_distance topology in
+  let slp =
+    Slp_refine.refine ~rng ~gap:1 g ~das ~search_distance:3
+      ~change_length:(max 1 (delta_ss - 3))
+  in
+  ( topology,
+    Safety.safety_periods ~delta_ss (),
+    ("weak", das.Das_build.schedule)
+    :: Option.fold ~none:[]
+         ~some:(fun r -> [ ("slp", r.Slp_refine.refined) ])
+         slp )
+
+let oracle_deciders =
+  [
+    ("lowest-slot", Attacker.lowest_slot);
+    ("history-avoiding", Attacker.lowest_slot_avoiding_history);
+    ("second-lowest", Attacker.second_lowest);
+  ]
+
+(* Every class x (r, h, m) budget x pure decider, on weak and SLP schedules
+   of grids 7-15, at one and two domains.  Branching classes (coop and
+   sector-phantom at r >= 2) must show up with 0 < captures < trials, or
+   the comparison never reaches the full-trial path. *)
+let test_oracle_budgets () =
+  let partial = ref 0 and compared = ref 0 in
+  List.iter
+    (fun (dim, seed) ->
+      let topology, sp, schedules = oracle_schedules dim seed in
+      let g = topology.Topology.graph in
+      let source = topology.Topology.source in
+      List.iter
+        (fun (kind, sched) ->
+          List.iter
+            (fun cls ->
+              List.iter
+                (fun (r, h, m) ->
+                  List.iteri
+                    (fun di (dname, decide) ->
+                      let attacker =
+                        Attacker.make ~decide ~decide_name:dname ~r ~h ~m
+                          ~start:topology.Topology.sink ()
+                      in
+                      let spec =
+                        { Mc_verify.cls; attacker; trials = 24; seed = seed + di }
+                      in
+                      let expected =
+                        Oracle.certify spec g sched ~safety_period:sp ~source
+                      in
+                      if
+                        expected.Mc_verify.captures > 0
+                        && expected.Mc_verify.captures < expected.Mc_verify.trials
+                      then incr partial;
+                      List.iter
+                        (fun domains ->
+                          incr compared;
+                          Alcotest.(check mc_result_testable)
+                            (Printf.sprintf "%dx%d %s %s r%d h%d m%d %s d%d"
+                               dim dim kind (Model.to_string cls) r h m dname
+                               domains)
+                            expected
+                            (Mc_verify.certify ~domains spec g sched
+                               ~safety_period:sp ~source))
+                        [ 1; 2 ])
+                    (match cls with
+                    | Model.Local -> oracle_deciders
+                    | _ -> [ List.hd oracle_deciders ]))
+                [
+                  (1, 0, 1); (1, 2, 2); (2, 0, 1); (2, 2, 2); (3, 0, 2);
+                  (3, 2, 1);
+                ])
+            classes)
+        schedules)
+    [ (7, 1); (9, 2); (11, 3); (13, 4); (15, 5) ];
+  Alcotest.(check bool)
+    (Printf.sprintf "branching trials reached (%d of %d comparisons)" !partial
+       !compared)
+    true (!partial > 0)
+
+(* A decider that captures an [Rng] draws across trials: its walks differ
+   from trial to trial although no candidate list ever has two entries, so
+   the short-circuit must not fire and every trial must run. *)
+let test_oracle_impure_decider () =
+  let partial = ref 0 in
+  List.iter
+    (fun (dim, seed) ->
+      let topology, sp, schedules = oracle_schedules dim seed in
+      let g = topology.Topology.graph in
+      let source = topology.Topology.source in
+      List.iter
+        (fun (kind, sched) ->
+          let certify f =
+            let attacker =
+              Attacker.make
+                ~decide:(Attacker.epsilon_greedy (Rng.create seed) ~epsilon:0.5)
+                ~decide_name:"epsilon-greedy" ~r:2 ~h:0 ~m:2
+                ~start:topology.Topology.sink ()
+            in
+            f { Mc_verify.cls = Model.Local; attacker; trials = 48; seed }
+              g sched ~safety_period:sp ~source
+          in
+          let expected = certify (Oracle.certify ~domains:1) in
+          if
+            expected.Mc_verify.captures > 0
+            && expected.Mc_verify.captures < expected.Mc_verify.trials
+          then incr partial;
+          Alcotest.(check mc_result_testable)
+            (Printf.sprintf "%dx%d %s epsilon-greedy" dim dim kind)
+            expected
+            (certify (Mc_verify.certify ~domains:1)))
+        schedules)
+    [ (7, 1); (7, 2); (9, 3); (11, 4) ];
+  Alcotest.(check bool) "some certification splits its trials" true
+    (!partial > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Serve layer: MC cache and batch fan-out                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -605,6 +734,13 @@ let () =
           Alcotest.test_case "domain invariance" `Quick
             test_mc_domain_invariance;
           Alcotest.test_case "wilson bounds" `Quick test_wilson_bounds;
+        ] );
+      ( "mc-oracle",
+        [
+          Alcotest.test_case "classes x budgets, grids 7-15" `Quick
+            test_oracle_budgets;
+          Alcotest.test_case "impure decider runs every trial" `Quick
+            test_oracle_impure_decider;
         ] );
       ( "serve",
         [

@@ -70,7 +70,10 @@ scale-smoke:
 # Coupled sharding determinism: a coupled 101x101 run's observables JSON —
 # merged engine counters over the cut-edge mailbox/window machinery — must
 # be byte-identical to the single-cell run whatever the decomposition
-# (--cells 1 vs 4) and wherever the cells execute (--domains 1 vs 2).
+# (--cells 1 vs 4 vs 16) and wherever the cells execute (--domains 1 vs 2).
+# Cells of the 1- and 4-cell runs lie above the engine's batch cutover
+# (1024 nodes) and batch their deliveries; the 16 cells (~638 nodes each)
+# push singleton deliveries, so the diff also pins batched = unbatched.
 couple-smoke:
 	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 --couple \
 	  --cells 1 --domains 1 --json _build/couple_c1.json > /dev/null
@@ -78,8 +81,11 @@ couple-smoke:
 	  --cells 4 --domains 1 --json _build/couple_c4_d1.json > /dev/null
 	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 --couple \
 	  --cells 4 --domains 2 --json _build/couple_c4_d2.json > /dev/null
+	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 --couple \
+	  --cells 16 --domains 1 --json _build/couple_c16.json > /dev/null
 	diff -u _build/couple_c1.json _build/couple_c4_d1.json
 	diff -u _build/couple_c4_d1.json _build/couple_c4_d2.json
+	diff -u _build/couple_c1.json _build/couple_c16.json
 	@echo "coupled observables byte-identical across cell and domain counts"
 
 # Verification service determinism: batch answers (JSON lines on stdout)
@@ -87,7 +93,10 @@ couple-smoke:
 # warm rerun over the first run's on-disk cache must reproduce the cold
 # output exactly — answers never depend on where they were computed.  A
 # query with dim < 2, or any other out-of-range key (r, safety, source,
-# mc, an SLP gap), must fail the batch with exit 2 and a line error.
+# mc, an SLP gap), must fail the batch with exit 2 and a line error.  The
+# same out-of-range values given as flags to a subcommand must be usage
+# errors naming the flag (Cmdliner exit 124), never an uncaught exception
+# (exit 125) or a silent default.
 serve-smoke:
 	printf 'dim=7 seed=1\ndim=7 seed=1 slp=true sd=2\ndim=9 seed=2 r=2 h=2 m=1 decide=history-avoiding\ndim=7 seed=1\n' \
 	  > _build/serve_queries.txt
@@ -121,6 +130,15 @@ serve-smoke:
 	    || { echo "serve-smoke: '$${case%%|*}' not rejected"; exit 1; }; \
 	done
 	@echo "serve rejects out-of-range keys with exit 2 and a line error"
+	for case in '-r 0|-r' '--history=-1|--history' '--slp --gap=0|--gap' \
+	  '--dim 1|--dim' '--attacker global --mc-trials=-3|--mc-trials'; do \
+	  status=0; dune exec bin/slp_das_cli.exe -- verify $${case%%|*} \
+	    > /dev/null 2> _build/cli_bad.err || status=$$?; \
+	  { test $$status -ne 0 && test $$status -ne 125 \
+	    && grep -qF "option '$${case#*|}'" _build/cli_bad.err; } \
+	    || { echo "serve-smoke: verify $${case%%|*} exited $$status"; exit 1; }; \
+	done
+	@echo "verify rejects out-of-range flags with a usage error naming the flag"
 
 # Adversary-zoo end-to-end: a mixed exhaustive/Monte-Carlo query file
 # (every attacker class, one duplicate line for the MC cache) served at one

@@ -1785,6 +1785,8 @@ let coupled_scale () =
       let oc = open_out (Filename.concat results_dir "BENCH_couple.json") in
       output_string oc
         "{\n  \"unit\": \"seconds, paired alternation, best of k\",\n";
+      Printf.fprintf oc "  \"host_cores\": %d,\n"
+        (Slpdas_util.Pool.recommended ());
       Printf.fprintf oc "  \"domains\": %d,\n" domains;
       Printf.fprintf oc
         "  \"window_overhead\": {\"windows\": %d, \"tasks\": 16, \

@@ -7,24 +7,39 @@
 
 open Cmdliner
 
+(* An integer bounded below.  An out-of-range value is a usage error that
+   names the flag (Cmdliner prints "option '--dim': must be >= 2, got 1"
+   and exits 124), with the same bounds and wording as the serve query
+   grammar, instead of an Invalid_argument raised deep in the library. *)
+let int_at_least low =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.int s) (fun v ->
+        if v < low then Error (`Msg (Printf.sprintf "must be >= %d, got %d" low v))
+        else Ok v)
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let dim_arg =
-  let doc = "Grid dimension (the paper uses 11, 15 and 21)." in
-  Arg.(value & opt int 11 & info [ "d"; "dim" ] ~docv:"DIM" ~doc)
+  let doc = "Grid dimension (the paper uses 11, 15 and 21); at least 2." in
+  Arg.(value & opt (int_at_least 2) 11 & info [ "d"; "dim" ] ~docv:"DIM" ~doc)
 
 let seed_arg =
   let doc = "Root random seed." in
   Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
 
 let sd_arg =
-  let doc = "Search distance SD (Table I: 3 or 5)." in
-  Arg.(value & opt int 3 & info [ "search-distance" ] ~docv:"SD" ~doc)
+  let doc = "Search distance SD (Table I: 3 or 5); at least 1." in
+  Arg.(
+    value
+    & opt (int_at_least 1) 3
+    & info [ "search-distance" ] ~docv:"SD" ~doc)
 
 let gap_arg =
   let doc =
     "Decoy slot gap for Phase 3 (1 = paper-literal nSlot-1; larger values \
      harden the lure)."
   in
-  Arg.(value & opt int 1 & info [ "gap" ] ~docv:"GAP" ~doc)
+  Arg.(value & opt (int_at_least 1) 1 & info [ "gap" ] ~docv:"GAP" ~doc)
 
 let slp_arg =
   let doc = "Apply the SLP refinement (Phases 2-3); default protectionless." in
@@ -83,18 +98,27 @@ let mc_trials_arg =
      exhaustive verifier; any non-local $(b,--attacker) class requires a \
      positive trial count."
   in
-  Arg.(value & opt int 0 & info [ "mc-trials" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 0) 0 & info [ "mc-trials" ] ~docv:"N" ~doc)
 
 (* The attacker's (R, H, M) budget, one triple of terms. *)
 let attacker_args =
   let r =
-    Arg.(value & opt int 1 & info [ "r" ] ~docv:"R" ~doc:"Messages heard per move.")
+    Arg.(
+      value
+      & opt (int_at_least 1) 1
+      & info [ "r" ] ~docv:"R" ~doc:"Messages heard per move (at least 1).")
   in
   let h =
-    Arg.(value & opt int 0 & info [ "history" ] ~docv:"H" ~doc:"History size.")
+    Arg.(
+      value
+      & opt (int_at_least 0) 0
+      & info [ "history" ] ~docv:"H" ~doc:"History size (at least 0).")
   in
   let m =
-    Arg.(value & opt int 1 & info [ "m" ] ~docv:"M" ~doc:"Moves per period.")
+    Arg.(
+      value
+      & opt (int_at_least 1) 1
+      & info [ "m" ] ~docv:"M" ~doc:"Moves per period (at least 1).")
   in
   (r, h, m)
 

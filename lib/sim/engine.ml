@@ -49,11 +49,18 @@ type ('s, 'm) event_kind =
   | Timer_fire of { node : int; timer : Slpdas_gcn.Timer.t; generation : int }
   | Deliver of { node : int; sender : int; msg : 'm }
       (* Reference impl: one event per (broadcast × delivered neighbour). *)
-  | Deliver_batch of { sender : int; recipients : int array; msg : 'm }
+  | Deliver_batch of {
+      sender : int;
+      recipients : int array;
+      keys : int array;
+      msg : 'm;
+    }
       (* Fast impl: one event per broadcast; [propagation_delay] is a
          constant, so all of a broadcast's arrivals share one timestamp and
          expand at pop time in adjacency order — the order the reference
-         impl pushes (and therefore pops) its singleton events in. *)
+         impl pushes (and therefore pops) its singleton events in.  Under
+         coupling, [keys] holds each recipient's stable k2 (the batch event
+         itself carries the first); uncoupled batches leave it empty. *)
   | Callback of (('s, 'm) t -> unit)
 
 and ('s, 'm) event = {
@@ -110,6 +117,7 @@ and ('s, 'm) t = {
          so below [default_batch_cutover] nodes the fast impl pushes
          singletons too — same draws, same order, same observables. *)
   scratch : int array;  (* delivered-recipient staging, max-degree sized *)
+  scratch_keys : int array;  (* coupled batches: the recipients' k2 keys *)
   mutable now : float;
   mutable next_seq : int;
   subscribers : ('m Event.t -> unit) Queue.t;
@@ -526,7 +534,12 @@ let rec apply_effects t node effects =
             push t
               ~at:(t.now +. propagation_delay)
               (Deliver_batch
-                 { sender = node; recipients = Array.sub scratch 0 !count; msg })))
+                 {
+                   sender = node;
+                   recipients = Array.sub scratch 0 !count;
+                   keys = [||];
+                   msg;
+                 })))
       | Slpdas_gcn.Set_timer { timer; after } ->
         let generation = bump_timer_generation t node timer in
         push t ~at:(t.now +. after) (Timer_fire { node; timer; generation })
@@ -540,13 +553,17 @@ let rec apply_effects t node effects =
    ports occupy; local neighbours, whose ascending local ids ascend globally
    too, fill the rest in order).  Every verdict draws from the sender's own
    lane, so the draw sequence is exactly the one the unsharded engine makes
-   for this node's full row — whatever other cells are doing.  Deliveries
-   stay singleton events (never batched) because a batch event would carry
-   only its first delivery's stable key. *)
+   for this node's full row — whatever other cells are doing.  Above the
+   batch cutover, local deliveries are staged with the k2 each would have
+   been pushed under and leave as one [Deliver_batch] keyed by the first;
+   [expand_keyed] replays them in key order.  Cut-edge deliveries always
+   leave one by one through [send]. *)
 and coupled_broadcast t c node msg ~faults =
   let lane = c.lanes.(node) in
   let gnode = c.global_ids.(node) in
   let nbrs = t.neighbours.(node) in
+  let batch = t.batch_deliveries in
+  let count = ref 0 in
   let p_lo = c.ports_off.(node) and p_hi = c.ports_off.(node + 1) in
   let total = Array.length nbrs + (p_hi - p_lo) in
   let at = t.now +. propagation_delay in
@@ -624,9 +641,26 @@ and coupled_broadcast t c node msg ~faults =
       in
       if not delivered then drop c.global_ids.(v)
       else if faults && fault_dropped t lane node v then drop c.global_ids.(v)
+      else if batch then begin
+        (* Same counter bump [push] would make for a singleton. *)
+        let s = t.sseq.(node) in
+        t.sseq.(node) <- s + 1;
+        Array.unsafe_set t.scratch !count v;
+        Array.unsafe_set t.scratch_keys !count s;
+        incr count
+      end
       else push t ~at (Deliver { node = v; sender = gnode; msg })
     end
-  done
+  done;
+  if !count > 0 then
+    push_keyed t ~at ~k1:gnode ~k2:t.scratch_keys.(0)
+      (Deliver_batch
+         {
+           sender = gnode;
+           recipients = Array.sub t.scratch 0 !count;
+           keys = Array.sub t.scratch_keys 0 !count;
+           msg;
+         })
 
 and inject t ~node trigger =
   (* Crash-stop failures: a failed node neither processes triggers nor emits
@@ -823,13 +857,15 @@ let create ?(impl = Fast) ?(batch_cutover = default_batch_cutover) ?airtime
       link_cache = build_link_cache ~impl ~topology ~link ~neighbours;
       neighbours;
       batch_deliveries =
-        (* Coupled engines never batch: a batch event would carry only its
-           first delivery's stable key, breaking the schedule-independent
-           interleave with other senders' events. *)
-        (match (impl, coupling) with
-        | Fast, None -> n > batch_cutover
-        | _ -> false);
+        (* Coupled engines batch too: a coupled batch carries every
+           recipient's stable key, so it expands exactly where its singleton
+           events would have popped (see [expand_keyed]). *)
+        (match impl with Fast -> n > batch_cutover | Reference -> false);
       scratch = Array.make max_degree 0;
+      scratch_keys =
+        (match coupling with
+        | Some _ -> Array.make max_degree 0
+        | None -> [||]);
       now = 0.0;
       next_seq = 0;
       subscribers = Queue.create ();
@@ -881,7 +917,7 @@ let deliver_one t ~node ~sender ~tx_time msg =
     inject t ~node (Slpdas_gcn.Receive { sender; msg })
   end
 
-let process t event =
+let rec process t event =
   t.now <- event.at;
   t.cur_k1 <- event.k1;
   t.cur_k2 <- event.k2;
@@ -903,7 +939,7 @@ let process t event =
     end
   | Deliver { node; sender; msg } ->
     deliver_one t ~node ~sender ~tx_time:(t.now -. propagation_delay) msg
-  | Deliver_batch { sender; recipients; msg } ->
+  | Deliver_batch { sender; recipients; keys = [||]; msg } ->
     (* Expand in push (= adjacency) order.  [halted] is re-checked between
        recipients because the reference impl's singleton events would stop
        being popped as soon as a subscriber called [stop]. *)
@@ -914,7 +950,51 @@ let process t event =
       deliver_one t ~node:recipients.(!i) ~sender ~tx_time msg;
       incr i
     done
+  | Deliver_batch { sender; recipients; keys; msg } ->
+    expand_keyed t ~at:event.at ~k1:event.k1 ~sender ~recipients ~keys msg
   | Callback f -> f t
+
+(* Coupled batch expansion.  The singleton events this batch replaces would
+   have popped back to back: no event already queued has a key between
+   theirs, because within one engine every (k1 = sender, k2 in the batch's
+   range) key belongs to this batch.  Only an event pushed while the batch
+   expands can cut in — a zero-delay timer or a harness [schedule ~at:now]
+   keyed below the next recipient.  So before each recipient after the
+   first, peek the heap; if it holds such an event (or the engine halted,
+   which leaves the singletons queued), re-queue the rest of the batch
+   under the next recipient's key and stop.  [cur_k2] follows the
+   recipients so [processing_key] reads what the singletons gave. *)
+and expand_keyed t ~at ~k1 ~sender ~recipients ~keys msg =
+  let tx_time = at -. propagation_delay in
+  let k = Array.length recipients in
+  let cuts_in k2 =
+    match Slpdas_util.Heap.peek t.queue with
+    | None -> false
+    | Some e -> (
+      match Float.compare e.at at with
+      | 0 -> (match Int.compare e.k1 k1 with 0 -> e.k2 < k2 | c -> c < 0)
+      | c -> c < 0)
+  in
+  let rec go i =
+    if i < k then begin
+      let k2 = keys.(i) in
+      if i > 0 && (t.halted || cuts_in k2) then
+        push_keyed t ~at ~k1 ~k2
+          (Deliver_batch
+             {
+               sender;
+               recipients = Array.sub recipients i (k - i);
+               keys = Array.sub keys i (k - i);
+               msg;
+             })
+      else begin
+        t.cur_k2 <- k2;
+        deliver_one t ~node:recipients.(i) ~sender ~tx_time msg;
+        go (i + 1)
+      end
+    end
+  in
+  go 0
 
 let step t =
   match Slpdas_util.Heap.pop t.queue with

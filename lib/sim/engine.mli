@@ -75,7 +75,8 @@ val default_batch_cutover : int
     pushed in the [Reference] impl's own order, so small (paper-scale) runs
     skip the batch bookkeeping that only pays off on large networks.  The
     two regimes are observably identical — the cutover trades constant
-    factors only. *)
+    factors only.  A coupled engine applies the rule to its own (cell) node
+    count. *)
 
 val create :
   ?impl:impl ->
@@ -112,7 +113,15 @@ val create :
     {!type:coupling}): programs boot with global selves, events report
     global ids, same-time events are ordered by the schedule-independent
     stable key [(k1, k2)] instead of push order, every node draws from its
-    own RNG lane ([rng] is then unused), and deliveries never batch.  A
+    own RNG lane ([rng] is then unused).  Above the batch cutover a [Fast]
+    cell still folds each broadcast's {e local} deliveries into one batch
+    event, which carries every recipient's stable key and is queued under
+    the first; at pop time it expands in key order, and if an event pushed
+    meanwhile (a zero-delay timer, a harness [schedule] at the current time)
+    keys below the next recipient, or the engine stops, the rest of the
+    batch is re-queued under that recipient's key — so batched and
+    singleton cells pop, emit and report {!processing_key}s identically.
+    Cut-edge deliveries always leave one by one through [send].  A
     coupled run driven through {!run_window}/{!ingest_delivery} barriers is
     byte-identical to the unsharded sequential engine built with the
     identity coupling over the base deployment.

@@ -162,12 +162,16 @@ let test_fake_family () =
 
 let go_timer = Gcn.Timer.intern "equiv-go"
 
+let zero_timer = Gcn.Timer.intern "equiv-zero"
+
 (* Repeating flooder: flooding nodes re-flood every second; nodes forward
    each wave once (state: latest wave heard and who delivered it).  It is
    broadcast-heavy, so lossy and SNR links draw plenty of randomness.
    [flood] selects the flooders (node 0 by default); the shard tests use it
-   to flood from each component's local origin. *)
-let wave_program_if ~flood ~self =
+   to flood from each component's local origin.  With [zero], a forwarder
+   also arms a zero-delay timer, whose fire shares the delivery's
+   timestamp (the coupled batch tests use it). *)
+let wave_program_gen ~zero ~flood ~self =
   let init ~self =
     ( (0, -1),
       if flood self then [ Gcn.Set_timer { timer = go_timer; after = 1.0 } ]
@@ -196,14 +200,37 @@ let wave_program_if ~flood ~self =
         (fun ~self:_ (wave, _) trigger ->
           match trigger with
           | Gcn.Receive { msg; sender } when msg > wave ->
-            Some ((msg, sender), [ Gcn.Broadcast msg ])
+            let tick =
+              if zero then [ Gcn.Set_timer { timer = zero_timer; after = 0.0 } ]
+              else []
+            in
+            Some ((msg, sender), Gcn.Broadcast msg :: tick)
+          | _ -> None);
+    }
+  in
+  let tick =
+    {
+      Gcn.name = "tick";
+      handler =
+        (fun ~self:_ state trigger ->
+          match trigger with
+          | Gcn.Timeout tm when Gcn.Timer.equal tm zero_timer -> Some (state, [])
           | _ -> None);
     }
   in
   ignore self;
-  { Gcn.init; actions = [ go; forward ]; spontaneous = [] }
+  {
+    Gcn.init;
+    actions = (if zero then [ go; forward; tick ] else [ go; forward ]);
+    spontaneous = [];
+  }
+
+let wave_program_if ~flood ~self = wave_program_gen ~zero:false ~flood ~self
 
 let wave_program ~self = wave_program_if ~flood:(fun v -> v = 0) ~self
+
+let zero_wave_program ~self =
+  wave_program_gen ~zero:true ~flood:(fun v -> v = 0) ~self
 
 let run_wave ~impl ?batch_cutover ?airtime link =
   let topology = Topology.grid 6 in
@@ -460,11 +487,9 @@ type global_obs = {
   o_bbn : int array;
 }
 
-let seq_obs ~impl ?(arm = fun _ -> ()) ~topology ~link ~until () =
-  let e =
-    Shard.sequential_engine ~impl ~topology ~link ~seed:42
-      ~program:wave_program ()
-  in
+let seq_obs ~impl ?(program = wave_program) ?(arm = fun _ -> ()) ~topology
+    ~link ~until () =
+  let e = Shard.sequential_engine ~impl ~topology ~link ~seed:42 ~program () in
   arm e;
   Engine.run_until e until;
   let n = Graph.n topology.Topology.graph in
@@ -475,15 +500,16 @@ let seq_obs ~impl ?(arm = fun _ -> ()) ~topology ~link ~until () =
     o_bbn = Engine.broadcasts_by_node e;
   }
 
-let coupled_obs ~impl ?(domains = 1) ?(arm = fun ~plan:_ ~cell:_ _ -> ())
-    ~cells_x ~cells_y ~topology ~link ~until () =
+let coupled_obs ~impl ?(program = wave_program) ?(domains = 1)
+    ?(arm = fun ~plan:_ ~cell:_ _ -> ()) ?monitor ~cells_x ~cells_y ~topology
+    ~link ~until () =
   let plan = Shard.plan ~cells_x ~cells_y topology in
   let n = Graph.n topology.Topology.graph in
   let states = Array.make n (0, 0) in
   let fired = Array.make n [] in
   let bbn = Array.make n 0 in
   let _, merged =
-    Shard.run_coupled ~domains ~impl
+    Shard.run_coupled ~domains ~impl ?monitor
       ~arm:(fun ~cell e -> arm ~plan ~cell e)
       ~inspect:(fun ~cell e ->
         let local_bbn = Engine.broadcasts_by_node e in
@@ -493,7 +519,7 @@ let coupled_obs ~impl ?(domains = 1) ?(arm = fun ~plan:_ ~cell:_ _ -> ())
             fired.(v) <- Engine.node_fired e i;
             bbn.(v) <- local_bbn.(i))
           cell.Shard.nodes)
-      plan ~link ~seed:42 ~program:wave_program ~until
+      plan ~link ~seed:42 ~program ~until
   in
   { o_counters = merged; o_states = states; o_fired = fired; o_bbn = bbn }
 
@@ -611,6 +637,43 @@ let first_boundary_node (plan : Shard.plan) =
     plan.Shard.cells;
   !best
 
+(* Arm a fault list (global ids) on the sequential twin ... *)
+let arm_faults_seq faults e =
+  List.iter
+    (fun (at, f) ->
+      match f with
+      | `Fail v -> Engine.schedule e ~at (fun e -> Engine.fail_node e v)
+      | `Revive v -> Engine.schedule e ~at (fun e -> Engine.revive_node e v)
+      | `Link_override (a, b, p) ->
+        Engine.schedule e ~at (fun e -> Engine.set_link_loss e ~a ~b p)
+      | `Global_loss p ->
+        Engine.schedule e ~at (fun e -> Engine.set_global_loss e p))
+    faults
+
+(* ... or on one coupled cell (the owning cell, with local ids). *)
+let arm_faults_cell faults ~plan ~cell e =
+  let mine v = plan.Shard.cell_of_node.(v) = cell.Shard.id in
+  let local v = plan.Shard.local_index.(v) in
+  List.iter
+    (fun (at, f) ->
+      match f with
+      | `Fail v when mine v ->
+        Engine.schedule e ~at (fun e -> Engine.fail_node e (local v))
+      | `Revive v when mine v ->
+        Engine.schedule e ~at (fun e -> Engine.revive_node e (local v))
+      | `Link_override (a, b, p) when mine a && mine b ->
+        Engine.schedule e ~at (fun e ->
+            Engine.set_link_loss e ~a:(local a) ~b:(local b) p)
+      | `Global_loss p ->
+        Engine.schedule e ~at (fun e -> Engine.set_global_loss e p)
+      | `Fail _ | `Revive _ | `Link_override _ -> ())
+    faults
+
+let global_loss_changes faults =
+  List.length
+    (List.filter (fun (_, f) -> match f with `Global_loss _ -> true | _ -> false)
+       faults)
+
 let test_coupled_faults () =
   let topology = Topology.grid 6 in
   let plan = Shard.plan ~cells_x:2 ~cells_y:2 topology in
@@ -624,41 +687,8 @@ let test_coupled_faults () =
     plan.Shard.cell_of_node.(0)
     plan.Shard.cell_of_node.(1);
   let faults = coupled_fault_times ~bnode in
-  let arm_seq e =
-    List.iter
-      (fun (at, f) ->
-        match f with
-        | `Fail v -> Engine.schedule e ~at (fun e -> Engine.fail_node e v)
-        | `Revive v -> Engine.schedule e ~at (fun e -> Engine.revive_node e v)
-        | `Link_override (a, b, p) ->
-          Engine.schedule e ~at (fun e -> Engine.set_link_loss e ~a ~b p)
-        | `Global_loss p ->
-          Engine.schedule e ~at (fun e -> Engine.set_global_loss e p))
-      faults
-  in
-  let arm_cell ~plan ~cell e =
-    let mine v = plan.Shard.cell_of_node.(v) = cell.Shard.id in
-    let local v = plan.Shard.local_index.(v) in
-    List.iter
-      (fun (at, f) ->
-        match f with
-        | `Fail v when mine v ->
-          Engine.schedule e ~at (fun e -> Engine.fail_node e (local v))
-        | `Revive v when mine v ->
-          Engine.schedule e ~at (fun e -> Engine.revive_node e (local v))
-        | `Link_override (a, b, p) when mine a && mine b ->
-          Engine.schedule e ~at (fun e ->
-              Engine.set_link_loss e ~a:(local a) ~b:(local b) p)
-        | `Global_loss p ->
-          Engine.schedule e ~at (fun e -> Engine.set_global_loss e p)
-        | `Fail _ | `Revive _ | `Link_override _ -> ())
-      faults
-  in
-  let global_changes =
-    List.length
-      (List.filter (fun (_, f) -> match f with `Global_loss _ -> true | _ -> false)
-         faults)
-  in
+  let arm_seq = arm_faults_seq faults and arm_cell = arm_faults_cell faults in
+  let global_changes = global_loss_changes faults in
   List.iter
     (fun (lname, link) ->
       List.iter
@@ -828,6 +858,196 @@ let prop_coupled_cell_count_invariance =
       && obs.o_fired = twin.o_fired
       && obs.o_bbn = twin.o_bbn)
 
+(* ------------------------------------------------------------------ *)
+(* Coupled delivery batches.  A Fast cell above the batch cutover     *)
+(* folds each broadcast's local deliveries into one event carrying    *)
+(* every recipient's stable key.  On the 33x33 grid (1089 nodes) the  *)
+(* sequential twin and the 1x1 run batch, while 2x2 and 3x3 cells     *)
+(* (<= 289 nodes) and the Reference impl push singletons: all of them *)
+(* must emit the same bus, in the same order, under the same keys.    *)
+(* ------------------------------------------------------------------ *)
+
+let grid33 () = Topology.grid 33
+
+(* Emission-order tap recording the processing key beside each event.
+   Harness keys (-1, s) count per-engine schedule calls, which differ
+   between the twin and a cell armed with only its own faults, so their
+   k2 is masked. *)
+let keyed_tap e =
+  let acc = ref [] in
+  Engine.subscribe e (fun ev ->
+      let k1, k2 = Engine.processing_key e in
+      acc := ((k1, if k1 < 0 then 0 else k2), ev) :: !acc);
+  fun () -> List.rev !acc
+
+(* The cell whose engine emits [ev] in a coupled run; -1 for the
+   network-wide loss floor, which every cell logs. *)
+let emitting_cell (plan : Shard.plan) (ev : int Event.t) =
+  let cell v = plan.Shard.cell_of_node.(v) in
+  match ev with
+  | Event.Broadcast { sender; _ } | Event.Drop { sender; _ } -> cell sender
+  | Event.Delivery { node; _ }
+  | Event.Timer_fire { node; _ }
+  | Event.Node_failed { node; _ }
+  | Event.Node_revived { node; _ } ->
+    cell node
+  | Event.Link_changed { a; _ } -> if a < 0 then -1 else cell a
+  | Event.Attacker_move _ | Event.Phase_transition _ -> -1
+
+let test_batch_regimes () =
+  let topology = grid33 () in
+  Alcotest.(check bool) "33x33 lies above the cutover" true
+    (Graph.n topology.Topology.graph > Engine.default_batch_cutover);
+  List.iter
+    (fun cells ->
+      let plan = Shard.plan ~cells_x:cells ~cells_y:cells topology in
+      Array.iter
+        (fun c ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%dx%d cell %d lies below the cutover" cells cells
+               c.Shard.id)
+            true
+            (Array.length c.Shard.nodes <= Engine.default_batch_cutover))
+        plan.Shard.cells)
+    [ 2; 3 ]
+
+(* Batched against singleton runs of [program] on 33x33, for every link
+   model and both impls, all against the Reference twin (which never
+   batches): the Fast twin's keyed bus, each cell's keyed bus (the twin's
+   restricted to that cell), every run's counters and per-node state, and
+   with [merged] the Coupled.events stream.  [faults] (global ids) are
+   armed in every run; a multi-cell run mirrors each global-loss change per
+   cell, so its counters and merged stream are compared without
+   Link_changed. *)
+let check_batched_vs_singleton ?(faults = []) ~merged ~program ~until label =
+  let topology = grid33 () in
+  let no_links_changed =
+    List.filter (fun ev ->
+        match ev with Event.Link_changed _ -> false | _ -> true)
+  in
+  List.iter
+    (fun (lname, link) ->
+      let seq impl =
+        let tap = ref (fun () -> []) in
+        let obs =
+          seq_obs ~impl ~program
+            ~arm:(fun e ->
+              arm_faults_seq faults e;
+              tap := keyed_tap e)
+            ~topology ~link ~until ()
+        in
+        (obs, !tap ())
+      in
+      let twin, twin_keyed = seq Engine.Reference in
+      let twin_stream = List.map snd twin_keyed in
+      let fast, fast_keyed = seq Engine.Fast in
+      let label = Printf.sprintf "%s/%s" label lname in
+      check_obs (label ^ ": batched twin = reference twin") twin fast;
+      Alcotest.(check bool)
+        (label ^ ": batched twin keyed bus = reference twin keyed bus")
+        true (fast_keyed = twin_keyed);
+      List.iter
+        (fun (iname, impl) ->
+          List.iter
+            (fun cells ->
+              let label = Printf.sprintf "%s/%s/%dx%d" label iname cells cells in
+              let plan = Shard.plan ~cells_x:cells ~cells_y:cells topology in
+              let recorder = Coupled.recorder () in
+              let taps = Array.make (cells * cells) (fun () -> []) in
+              let obs =
+                coupled_obs ~impl ~program ~arm:(arm_faults_cell faults)
+                  ~monitor:(fun ~cell e ->
+                    Coupled.monitor recorder ~cell e;
+                    taps.(cell.Shard.id) <- keyed_tap e)
+                  ~cells_x:cells ~cells_y:cells ~topology ~link ~until ()
+              in
+              check_obs ~skip_link_changes:(cells > 1)
+                (label ^ ": coupled = reference twin")
+                twin obs;
+              Array.iteri
+                (fun c tap ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: cell %d keyed bus = reference twin's"
+                       label c)
+                    true
+                    (tap ()
+                    = List.filter
+                        (fun (_, ev) ->
+                          let ec = emitting_cell plan ev in
+                          ec = c || ec < 0)
+                        twin_keyed))
+                taps;
+              if merged then
+                Alcotest.(check bool)
+                  (label ^ ": merged stream = reference twin bus")
+                  true
+                  (no_links_changed (Array.to_list (Coupled.events recorder))
+                  = no_links_changed twin_stream))
+            [ 1; 2; 3 ])
+        [ ("fast", Engine.Fast); ("ref", Engine.Reference) ])
+    links
+
+let test_batch_wave () =
+  check_batched_vs_singleton ~merged:true ~program:wave_program ~until:6.0
+    "33x33/wave"
+
+(* Zero-delay timers land at their delivery's timestamp, under keys that
+   can fall between two recipients of one batch: the batch must split.  A
+   forwarder keyed below its sender fires its timer before the sender's
+   next recipient, out of key order, which Coupled.events' sort by
+   (time, key) cannot reproduce for singleton cells either; the per-cell
+   keyed buses carry the order instead. *)
+let test_batch_zero_timer () =
+  check_batched_vs_singleton ~merged:false ~program:zero_wave_program
+    ~until:6.0 "33x33/zero-timer"
+
+let test_batch_faults () =
+  let plan = Shard.plan ~cells_x:2 ~cells_y:2 (grid33 ()) in
+  check_batched_vs_singleton
+    ~faults:(coupled_fault_times ~bnode:(first_boundary_node plan))
+    ~merged:false ~program:zero_wave_program ~until:8.0 "33x33/faults"
+
+(* A stop between two recipients of a batch leaves the rest queued, as
+   the singleton events would be: the Fast (batched) twin and the
+   Reference twin agree at the stop and after [step] drains the queue. *)
+let test_batch_stop () =
+  let topology = grid33 () in
+  let until = 4.0 in
+  let run ~impl ~link ~stop_at =
+    let e =
+      Shard.sequential_engine ~impl ~topology ~link ~seed:42
+        ~program:wave_program ()
+    in
+    let seen = ref 0 in
+    Engine.subscribe e (function
+      | Event.Delivery _ ->
+        incr seen;
+        if !seen = stop_at then Engine.stop e
+      | _ -> ());
+    Engine.run_until e until;
+    let at_stop = (Engine.counters e, Engine.next_event_time e) in
+    while
+      match Engine.next_event_time e with Some at -> at <= until | None -> false
+    do
+      ignore (Engine.step e)
+    done;
+    (at_stop, Engine.counters e)
+  in
+  List.iter
+    (fun (lname, link) ->
+      for stop_at = 1001 to 1004 do
+        let label = Printf.sprintf "stop/%s/%d" lname stop_at in
+        let (ref_c, ref_next), ref_end =
+          run ~impl:Engine.Reference ~link ~stop_at
+        in
+        let (fast_c, fast_next), fast_end = run ~impl:Engine.Fast ~link ~stop_at in
+        check_counters (label ^ " at stop") ref_c fast_c;
+        Alcotest.(check (option (float 0.0)))
+          (label ^ ": next event") ref_next fast_next;
+        check_counters (label ^ " drained") ref_end fast_end
+      done)
+    links
+
 let () =
   Alcotest.run "engine-equivalence"
     [
@@ -875,5 +1095,17 @@ let () =
           Alcotest.test_case "101x101 acceptance, links x domains" `Slow
             test_coupled_101;
           QCheck_alcotest.to_alcotest prop_coupled_cell_count_invariance;
+        ] );
+      ( "coupled batch",
+        [
+          Alcotest.test_case "33x33 regimes straddle the cutover" `Quick
+            test_batch_regimes;
+          Alcotest.test_case "33x33 wave: batched = singleton" `Quick
+            test_batch_wave;
+          Alcotest.test_case "33x33 zero-delay timers split" `Quick
+            test_batch_zero_timer;
+          Alcotest.test_case "33x33 faults: batched = singleton" `Quick
+            test_batch_faults;
+          Alcotest.test_case "33x33 stop mid-batch" `Quick test_batch_stop;
         ] );
     ]

@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; see README.md "Reproducing the paper".
 
-.PHONY: build test lint lint-typed bench bench-smoke bench-determinism chaos-smoke scale-smoke couple-smoke serve-smoke attack-smoke pipeline-smoke clean
+.PHONY: build test lint lint-typed bench bench-smoke bench-determinism chaos-smoke scale-smoke couple-smoke serve-smoke attack-smoke pipeline-smoke des-smoke clean
 
 build:
 	dune build @all
@@ -172,6 +172,26 @@ pipeline-smoke:
 	    || { echo "pipeline-smoke: $$w output failed its checks"; exit 1; }; \
 	done
 	@echo "pipeline workloads ran with every output check passing"
+
+# DES event counts: one seed-1 11x11 `simulate` run per mode.  Broadcasts,
+# deliveries and attacker moves are seed-determined and pinned exactly;
+# timer fires must stay below 20,000, because no-op setup rounds park their
+# timers (a run that simulates every round fires about 188,500).  These are
+# deterministic counts, not timings, so the gate cannot flake.
+des-smoke:
+	for case in '--slp|4436|15994|10' '|4270|15403|10'; do \
+	  mode=$${case%%|*}; rest=$${case#*|}; \
+	  dune exec bin/slp_das_cli.exe -- simulate -d 11 $$mode \
+	    --events-json _build/des_events.json > /dev/null || exit 1; \
+	  count() { sed -n "s/^ *\"$$1\": \([0-9]*\),*$$/\1/p" _build/des_events.json; }; \
+	  got="$$(count broadcasts)|$$(count deliveries)|$$(count attacker_moves)"; \
+	  test "$$got" = "$$rest" \
+	    || { echo "des-smoke: simulate $$mode counts $$got, want $$rest"; exit 1; }; \
+	  fires=$$(count timer_fires); \
+	  test "$$fires" -lt 20000 \
+	    || { echo "des-smoke: simulate $$mode fired $$fires timers (limit 20000)"; exit 1; }; \
+	done
+	@echo "DES broadcasts, deliveries and attacker moves pinned; timer fires < 20000"
 
 clean:
 	dune clean

@@ -960,20 +960,32 @@ let verify_service () =
   end
 
 (* Adversary zoo: Monte-Carlo certification per attacker class on the
-   paper's 11x11 grid.  The capture/bound columns are seed-determined and
-   domain-invariant (printed always); throughput and the committed
-   bench_results/BENCH_attack.json are micro-mode only.  The local class is
-   additionally checked against the exhaustive verifier — its verdict must
-   not contradict the sampled captures. *)
+   paper's 11x11 grid, for the canonical R = 1 attacker and an R = 2 one.
+   Every R = 1 certification takes Mc_verify's single walk; R = 2 walks
+   can choose among candidates and then run all trials, so the ensemble
+   times both paths.  The capture/bound columns are
+   seed-determined and domain-invariant (printed always); throughput and
+   the committed bench_results/BENCH_attack.json are micro-mode only.  The
+   local class is additionally checked against the exhaustive verifier —
+   its verdict must not contradict the sampled captures. *)
 let attack_certification () =
-  section "Attacker classes: Monte-Carlo certification (11x11, 256 trials)";
+  section
+    "Attacker classes: Monte-Carlo certification (11x11, R = 1 and 2, 256 \
+     trials)";
   let topology = Slpdas_wsn.Topology.grid 11 in
   let g = topology.Slpdas_wsn.Topology.graph in
   let sink = topology.Slpdas_wsn.Topology.sink in
   let source = topology.Slpdas_wsn.Topology.source in
   let delta_ss = Slpdas_wsn.Topology.source_sink_distance topology in
   let safety_period = Slpdas_core.Safety.safety_periods ~delta_ss () in
-  let att = attacker ~start:sink in
+  let attackers =
+    [
+      (1, attacker ~start:sink);
+      ( 2,
+        Slpdas_serve.Query.make_attacker Slpdas_serve.Query.Lowest_slot ~r:2
+          ~h:0 ~m:1 ~start:sink );
+    ]
+  in
   let trials = 256 in
   let classes =
     [
@@ -990,9 +1002,14 @@ let attack_certification () =
            g ~sink)
           .Slpdas_core.Das_build.schedule)
   in
+  (* One ensemble per (R, class) pair, R-major, each over every schedule. *)
+  let ensembles =
+    List.concat_map (fun (r, att) -> List.map (fun cls -> (r, att, cls)) classes)
+      attackers
+  in
   let items =
     List.concat_map
-      (fun cls ->
+      (fun (_, att, cls) ->
         List.map
           (fun schedule ->
             {
@@ -1006,7 +1023,7 @@ let attack_certification () =
               mc_source = source;
             })
           schedules)
-      classes
+      ensembles
   in
   let n_queries = List.length items in
   let service = Slpdas_serve.Service.create () in
@@ -1021,10 +1038,10 @@ let attack_certification () =
   done;
   let warm_s = !warm_s in
   let stable = List.for_all2 Slpdas_serve.Mc_query.answer_equal cold !warm in
-  (* Aggregate per class over the schedule ensemble, in class order. *)
+  (* Aggregate each ensemble over its schedules, in ensemble order. *)
   let per_class =
     List.mapi
-      (fun ci cls ->
+      (fun ci (r, _, cls) ->
         let answers =
           List.filteri
             (fun i _ -> i / List.length schedules = ci)
@@ -1048,13 +1065,14 @@ let attack_certification () =
                -. r.Slpdas_attack.Mc_verify.wilson_low))
             0. answers
         in
-        (cls, answers, List.length answers - safe, safe, widest))
-      classes
+        (r, cls, answers, List.length answers - safe, safe, widest))
+      ensembles
   in
   emit ~name:"attack_certification"
     ~header:
       [
         "class";
+        "r";
         "schedules";
         "capturing";
         "certified safe";
@@ -1062,9 +1080,10 @@ let attack_certification () =
         "trials";
       ]
     (List.map
-       (fun (cls, answers, caught, safe, widest) ->
+       (fun (r, cls, answers, caught, safe, widest) ->
          [
            Slpdas_attack.Model.to_string cls;
+           string_of_int r;
            string_of_int (List.length answers);
            string_of_int caught;
            string_of_int safe;
@@ -1072,20 +1091,25 @@ let attack_certification () =
            string_of_int trials;
          ])
        per_class);
-  (* Exhaustive cross-check for the local class: sampled captures on a
-     schedule imply the exhaustive verdict is Captured. *)
+  (* Exhaustive cross-check for the local class at every R: sampled
+     captures on a schedule imply the exhaustive verdict is Captured. *)
   let consistent =
-    List.for_all2
-      (fun schedule (r : Slpdas_attack.Mc_verify.result) ->
-        match
-          ( Slpdas_core.Verifier.verify g schedule ~attacker:att
-              ~safety_period ~source,
-            r.Slpdas_attack.Mc_verify.captures )
-        with
-        | Slpdas_core.Verifier.Safe, c -> c = 0
-        | Slpdas_core.Verifier.Captured _, _ -> true)
-      schedules
-      (List.filteri (fun i _ -> i < List.length schedules) cold)
+    List.for_all
+      (fun (r, cls, answers, _, _, _) ->
+        match cls with
+        | Slpdas_attack.Model.Local ->
+          List.for_all2
+            (fun schedule (res : Slpdas_attack.Mc_verify.result) ->
+              match
+                ( Slpdas_core.Verifier.verify g schedule
+                    ~attacker:(List.assoc r attackers) ~safety_period ~source,
+                  res.Slpdas_attack.Mc_verify.captures )
+              with
+              | Slpdas_core.Verifier.Safe, c -> c = 0
+              | Slpdas_core.Verifier.Captured _, _ -> true)
+            schedules answers
+        | _ -> true)
+      per_class
   in
   Printf.printf "local MC consistent with exhaustive verifier: %s\n"
     (if consistent then "yes" else "NO");
@@ -1094,9 +1118,10 @@ let attack_certification () =
   if micro_mode then begin
     let qps s = float_of_int n_queries /. Float.max s 1e-9 in
     Printf.printf
-      "%d certifications (%d classes x %d schedules): cold %.1f ms (%.0f/s), \
-       warm %.1f ms (%.0f/s)\n"
-      n_queries (List.length classes) (List.length schedules)
+      "%d certifications (%d R values x %d classes x %d schedules): cold \
+       %.1f ms (%.0f/s), warm %.1f ms (%.0f/s)\n"
+      n_queries (List.length attackers) (List.length classes)
+      (List.length schedules)
       (1000. *. cold_s) (qps cold_s) (1000. *. warm_s) (qps warm_s);
     (try
        if not (Sys.file_exists results_dir) then Sys.mkdir results_dir 0o755
@@ -1119,12 +1144,13 @@ let attack_certification () =
         (Slpdas_util.Pool.recommended ())
         domains trials n_queries cold_s warm_s (qps cold_s) (qps warm_s);
       List.iteri
-        (fun i (cls, answers, caught, safe, widest) ->
+        (fun i (r, cls, answers, caught, safe, widest) ->
           Printf.fprintf oc
-            "    {\"class\": %S, \"schedules\": %d, \"capturing\": %d, \
-             \"certified_safe\": %d, \"widest_wilson_width\": %.4f}%s\n"
+            "    {\"class\": %S, \"r\": %d, \"schedules\": %d, \
+             \"capturing\": %d, \"certified_safe\": %d, \
+             \"widest_wilson_width\": %.4f}%s\n"
             (Slpdas_attack.Model.to_string cls)
-            (List.length answers) caught safe widest
+            r (List.length answers) caught safe widest
             (if i = List.length per_class - 1 then "" else ","))
         per_class;
       output_string oc "  ]\n}\n";

@@ -40,6 +40,13 @@ let strong_repair_rounds c =
   in
   int_of_float (ceil (span /. c.dissemination_period))
 
+(* Position of a node's periodic [dissem] or [process] timer chain: the
+   index of the chain's next round and the absolute time it fires at.  When
+   [armed] is false the chain is parked — the last round was a no-op, so no
+   timer is pending — and it resumes from this position (see
+   [resume_chain]). *)
+type chain = { round : int; at : float; armed : bool }
+
 type state = {
   config : config;
   rng : Slpdas_util.Rng.t;
@@ -55,8 +62,8 @@ type state = {
   normal : bool;
   dissem_budget : int;
   last_sent : Messages.t option;
-  dissem_rounds_left : int;
-  process_rounds_left : int;
+  dissem : chain;
+  process : chain;
   search_sent : bool;
   from_ : Int_set.t;
   start_node : bool;
@@ -94,6 +101,23 @@ let dissem_jitter c ~node ~round =
       ((c.run_seed * 31) lxor (node * 2_097_593) lxor (round * 613))
   in
   Slpdas_util.Rng.float r (0.3 *. c.dissemination_period)
+
+(* Gap between dissemination rounds [round] and [round + 1], so that
+   successive fires land on das_start + r·Pdiss + jitter(r).  Chain times
+   accumulate these gaps with [+.] exactly as the engine adds a
+   [Set_timer]'s [after] to its current time. *)
+let dissem_step c ~node ~round =
+  c.dissemination_period
+  -. dissem_jitter c ~node ~round
+  +. dissem_jitter c ~node ~round:(round + 1)
+
+let process_step c ~node:_ ~round:_ = c.dissemination_period
+
+(* Boot-relative time of each chain's round 0; the process action runs at
+   80% of each dissemination round. *)
+let dissem_boot c ~node = das_start c +. dissem_jitter c ~node ~round:0
+
+let process_boot c = das_start c +. (c.dissemination_period *. 0.8)
 
 (* Run-salted deterministic hash: gives every (parent, child) pair a
    pseudo-random rank key that all siblings compute identically, standing in
@@ -699,43 +723,100 @@ let on_hello_timer s =
         Slpdas_gcn.Set_timer { timer = Timer.hello; after = period_length s.config };
       ] )
 
+(* Parking and resuming the setup-round timers.
+
+   A [dissem] round that broadcasts nothing, and a [process] round that
+   leaves [slot], [parent], [hop] and [ninfo] physically unchanged, do not
+   re-arm their timer: the chain parks at its next position.  Until some
+   event changes what those rounds read, every later round of the chain
+   would be the same no-op.  A no-op round draws nothing from the node's
+   RNG (the jitter is a stateless hash, and [choose_parent_and_slot] draws
+   only on the round that assigns a slot), and a process round that is a
+   no-op under the strong repair rule is one under the weak rule too (no
+   parent bound, no closer-neighbour violation, and the same collision
+   check).  So skipping those rounds changes no observable event, only the
+   number of timer fires.  The sink's process round is always a no-op: its
+   chain parks on the first fire for good.
+
+   Two kinds of event can change a round's outcome: a handled [Receive]
+   (fault-layer notices and injected [Hello]s included) wakes both chains,
+   and a process round that changed the node's assignment wakes the
+   dissemination chain.  Waking replays the chain's float accumulation up to
+   the first round strictly after the current time and arms exactly that
+   time with [Set_timer_at], so a resumed chain fires on the same floats as
+   one that never parked.  A round due exactly now counts as past: its
+   timer would have been queued a round earlier, before the broadcast that
+   carries a received message, so it already ran as a no-op.  (A harness
+   injection landing exactly on a chain time is resolved the same way,
+   although without parking a harness callback queued before that round's
+   timer would have run first.) *)
+let resume_chain ~timer ~step ~node c chain =
+  let rounds = setup_rounds c in
+  if chain.armed || chain.round >= rounds then (chain, [])
+  else begin
+    let now = Slpdas_gcn.now () in
+    let rec catch_up round at =
+      if round < rounds && at <= now then
+        catch_up (round + 1) (at +. step c ~node ~round)
+      else (round, at)
+    in
+    let round, at = catch_up chain.round chain.at in
+    if round >= rounds then ({ chain with round; at }, [])
+    else ({ round; at; armed = true }, [ Slpdas_gcn.Set_timer_at { timer; at } ])
+  end
+
+let resume_dissem ~self s =
+  let dissem, effects =
+    resume_chain ~timer:Timer.dissem ~step:dissem_step ~node:self s.config
+      s.dissem
+  in
+  ((if dissem == s.dissem then s else { s with dissem }), effects)
+
+let resume_process ~self s =
+  if self = s.config.sink then (s, [])
+  else begin
+    let process, effects =
+      resume_chain ~timer:Timer.process ~step:process_step ~node:self s.config
+        s.process
+    in
+    ((if process == s.process then s else { s with process }), effects)
+  end
+
+(* The next position of a chain whose round [round] fires now, [after]
+   seconds before the next; armed while rounds remain. *)
+let next_round c ~round ~after =
+  {
+    round = round + 1;
+    at = Slpdas_gcn.now () +. after;
+    armed = round + 1 < setup_rounds c;
+  }
+
 let on_dissem_timer ~self s =
   (* Firing at round r (jittered); rearm for round r+1 so that the absolute
      fire times are das_start + r·Pdiss + jitter(r). *)
-  let round = setup_rounds s.config - s.dissem_rounds_left in
-  let rearm =
-    if s.dissem_rounds_left > 1 then
-      [
-        Slpdas_gcn.Set_timer
-          {
-            timer = Timer.dissem;
-            after =
-              s.config.dissemination_period
-              -. dissem_jitter s.config ~node:self ~round
-              +. dissem_jitter s.config ~node:self ~round:(round + 1);
-          };
-      ]
-    else []
-  in
-  let s = { s with dissem_rounds_left = s.dissem_rounds_left - 1 } in
+  let round = s.dissem.round in
+  let after = dissem_step s.config ~node:self ~round in
+  let next = next_round s.config ~round ~after in
+  let parked = { s with dissem = { next with armed = false } } in
   (* A slotless node in update mode is an orphan mid-repair (see [orphan]):
      it must broadcast its ⊥ announcement or converged neighbours never
      learn they have to answer.  Slotless *normal*-mode nodes are ordinary
      Phase-1 joiners and stay silent, as in the paper. *)
   let repairing = s.slot = None && (not s.normal) && self <> s.config.sink in
   let eligible = s.slot <> None || self = s.config.sink || repairing in
-  if not eligible then (s, rearm)
+  if not eligible then (parked, [])
   else begin
     let payload = dissem_payload ~self s in
     let changed = s.last_sent <> Some payload in
     let budget =
       if changed then s.config.dissemination_timeout else s.dissem_budget
     in
-    if budget <= 0 then (s, rearm)
+    if budget <= 0 then (parked, [])
     else begin
       let s =
         {
           s with
+          dissem = next;
           dissem_budget = budget - 1;
           last_sent = Some payload;
           (* an update dissemination is sent once, then we return to normal
@@ -745,30 +826,40 @@ let on_dissem_timer ~self s =
           normal = (if repairing then s.normal else true);
         }
       in
+      let rearm =
+        if next.armed then
+          [ Slpdas_gcn.Set_timer { timer = Timer.dissem; after } ]
+        else []
+      in
       (s, Slpdas_gcn.Broadcast payload :: rearm)
     end
   end
 
 let on_process_timer ~self s =
-  let rearm =
-    if s.process_rounds_left > 1 then
-      [
-        Slpdas_gcn.Set_timer
-          { timer = Timer.process; after = s.config.dissemination_period };
-      ]
-    else []
-  in
-  let s = { s with process_rounds_left = s.process_rounds_left - 1 } in
-  if self = s.config.sink then (s, rearm)
+  let round = s.process.round in
+  let after = process_step s.config ~node:self ~round in
+  let next = next_round s.config ~round ~after in
+  let parked = { next with armed = false } in
+  if self = s.config.sink then ({ s with process = parked }, [])
   else begin
-    let rounds_elapsed = setup_rounds s.config - s.process_rounds_left in
     let strong =
       s.config.mode = Protectionless
-      || rounds_elapsed < strong_repair_rounds s.config
+      || round + 1 < strong_repair_rounds s.config
     in
-    let s = choose_parent_and_slot ~self s in
-    let s = repair_slot ~self ~strong s in
-    (s, rearm)
+    let s' = repair_slot ~self ~strong (choose_parent_and_slot ~self s) in
+    if
+      s'.slot == s.slot && s'.parent == s.parent && s'.hop == s.hop
+      && s'.ninfo == s.ninfo
+    then ({ s with process = parked }, [])
+    else begin
+      let rearm =
+        if next.armed then
+          [ Slpdas_gcn.Set_timer { timer = Timer.process; after } ]
+        else []
+      in
+      let s, wake = resume_dissem ~self { s' with process = next } in
+      (s, rearm @ wake)
+    end
   end
 
 let on_search_timer ~self s =
@@ -889,7 +980,7 @@ let extract_schedule ~n config state_of =
   done;
   schedule
 
-let initial_state config ~self =
+let initial_state config ~self ~now =
   let rng =
     Slpdas_util.Rng.create ((config.run_seed * 7_368_787) lxor (self * 65_599))
   in
@@ -909,8 +1000,9 @@ let initial_state config ~self =
       normal = true;
       dissem_budget = config.dissemination_timeout;
       last_sent = None;
-      dissem_rounds_left = setup_rounds config;
-      process_rounds_left = setup_rounds config;
+      dissem =
+        { round = 0; at = now +. dissem_boot config ~node:self; armed = true };
+      process = { round = 0; at = now +. process_boot config; armed = true };
       search_sent = false;
       from_ = Int_set.empty;
       start_node = false;
@@ -928,9 +1020,8 @@ let initial_state config ~self =
   else base
 
 let program config ~self:_ =
-  let process_slack = 0.8 in
   let init ~self =
-    let s = initial_state config ~self in
+    let s = initial_state config ~self ~now:(Slpdas_gcn.now ()) in
     let hello_offset =
       Slpdas_util.Rng.float s.rng (period_length config *. 0.5)
     in
@@ -938,15 +1029,9 @@ let program config ~self:_ =
       [
         Slpdas_gcn.Set_timer { timer = Timer.hello; after = hello_offset };
         Slpdas_gcn.Set_timer
-          {
-            timer = Timer.dissem;
-            after = das_start config +. dissem_jitter config ~node:self ~round:0;
-          };
+          { timer = Timer.dissem; after = dissem_boot config ~node:self };
         Slpdas_gcn.Set_timer
-          {
-            timer = Timer.process;
-            after = das_start config +. (config.dissemination_period *. process_slack);
-          };
+          { timer = Timer.process; after = process_boot config };
         Slpdas_gcn.Set_timer { timer = Timer.period; after = normal_start config };
       ]
     in
@@ -971,7 +1056,15 @@ let program config ~self:_ =
       handler =
         (fun ~self s trigger ->
           match trigger with
-          | Slpdas_gcn.Receive { sender; msg } -> f ~self s ~sender msg
+          | Slpdas_gcn.Receive { sender; msg } ->
+            (* Any handled message may change what a setup round does, so
+               it wakes both parked chains (see [resume_chain]). *)
+            Option.map
+              (fun (s, effects) ->
+                let s, dissem = resume_dissem ~self s in
+                let s, process = resume_process ~self s in
+                (s, effects @ dissem @ process))
+              (f ~self s ~sender msg)
           | Slpdas_gcn.Timeout _ | Slpdas_gcn.Round_end -> None);
     }
   in

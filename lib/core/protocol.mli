@@ -87,6 +87,23 @@ val das_start : config -> float
 val normal_start : config -> float
 (** Start of normal operation ([MSP] periods in). *)
 
+(** Position of a node's periodic setup-round timer chain ([dissem] or
+    [process]): the index of the chain's next round, counted from 0 up to
+    the setup window's round count, and the absolute simulated time that
+    round fires at.
+
+    A round that does nothing — a dissemination that sends nothing, a
+    process action that changes neither slot, parent, hop nor neighbour
+    information — does not re-arm its timer: the chain parks ([armed =
+    false]) and keeps its position.  A handled message wakes both chains and
+    a process round that changed the assignment wakes the dissemination
+    chain; waking re-arms the first round strictly after the current time
+    with {!Slpdas_gcn.Set_timer_at}, at the exact float the never-parked
+    chain would have fired on.  Parking removes only timer fires: every
+    transmission, reception and RNG draw is what it would be without it.
+    The sink's process chain parks on its first fire for good. *)
+type chain = { round : int; at : float; armed : bool }
+
 (** Per-node protocol state; transparent for tests and harnesses. *)
 type state = {
   config : config;
@@ -105,8 +122,8 @@ type state = {
   normal : bool;  (** [false]: next dissemination is an update *)
   dissem_budget : int;  (** remaining sends of the current state (DT) *)
   last_sent : Messages.t option;
-  dissem_rounds_left : int;
-  process_rounds_left : int;
+  dissem : chain;  (** the dissemination-round timer chain *)
+  process : chain;  (** the process-action timer chain *)
   (* Fig. 3 variables *)
   search_sent : bool;  (** sink: Phase 2 already triggered *)
   from_ : Int_set.t;  (** senders of Search/Change tokens seen *)

@@ -46,6 +46,7 @@ type 'm trigger =
 type 'm effect_ =
   | Broadcast of 'm
   | Set_timer of { timer : Timer.t; after : float }
+  | Set_timer_at of { timer : Timer.t; at : float }
   | Stop_timer of Timer.t
 
 type ('s, 'm) action = {
@@ -69,6 +70,34 @@ exception Divergent of string
 
 let spontaneous_fuel = 10_000
 
+(* The host's simulated time, published for the duration of one
+   [Instance.create] or [Instance.deliver] call.  Domain-local, so hosts
+   running engines on several domains never see each other's clocks; a
+   one-cell float array stores the time unboxed, so publishing it does not
+   allocate.  NaN means no call is running. *)
+let clock = Domain.DLS.new_key (fun () -> Float.Array.make 1 Float.nan)
+
+let now () =
+  let t = Float.Array.get (Domain.DLS.get clock) 0 in
+  if Float.is_nan t then
+    invalid_arg "Slpdas_gcn.now: no init or action is running";
+  t
+
+(* [f a b] with [now] published, restoring the outer value afterwards (also
+   when [f] raises).  Callers pass top-level functions and their arguments
+   separately, so publishing the clock allocates nothing per trigger. *)
+let with_clock now f a b =
+  let cell = Domain.DLS.get clock in
+  let prev = Float.Array.get cell 0 in
+  Float.Array.set cell 0 now;
+  match f a b with
+  | result ->
+    Float.Array.set cell 0 prev;
+    result
+  | exception e ->
+    Float.Array.set cell 0 prev;
+    raise e
+
 module Instance = struct
   type ('s, 'm) t = {
     program : ('s, 'm) program;
@@ -85,43 +114,49 @@ module Instance = struct
 
   (* Run spontaneous actions to fixpoint, returning effects in order. *)
   let settle t =
-    let effects = ref [] in
-    let rec loop fuel =
-      if fuel <= 0 then raise (Divergent "spontaneous actions did not settle");
-      let enabled =
-        List.find_opt (fun s -> s.sguard t.state) t.program.spontaneous
+    match t.program.spontaneous with
+    | [] -> []
+    | spontaneous ->
+      let effects = ref [] in
+      let rec loop fuel =
+        if fuel <= 0 then raise (Divergent "spontaneous actions did not settle");
+        let enabled = List.find_opt (fun s -> s.sguard t.state) spontaneous in
+        match enabled with
+        | None -> ()
+        | Some s ->
+          let state', effs = s.scommand ~self:t.self t.state in
+          t.state <- state';
+          t.fired <- s.sname :: t.fired;
+          effects := !effects @ [ effs ];
+          loop (fuel - 1)
       in
-      match enabled with
-      | None -> ()
-      | Some s ->
-        let state', effs = s.scommand ~self:t.self t.state in
-        t.state <- state';
-        t.fired <- s.sname :: t.fired;
-        effects := !effects @ [ effs ];
-        loop (fuel - 1)
-    in
-    loop spontaneous_fuel;
-    List.concat !effects
+      loop spontaneous_fuel;
+      List.concat !effects
 
-  let create program ~self =
+  let boot program self =
     let state, boot_effects = program.init ~self in
     let t = { program; self; state; fired = [ "init" ] } in
     let settle_effects = settle t in
     (t, boot_effects @ settle_effects)
 
-  let deliver t trigger =
-    let rec try_actions = function
-      | [] -> []
-      | action :: rest ->
-        begin match action.handler ~self:t.self t.state trigger with
-        | None -> try_actions rest
-        | Some (state', effects) ->
-          t.state <- state';
-          t.fired <- action.name :: t.fired;
-          effects
-        end
-    in
-    let action_effects = try_actions t.program.actions in
-    let settle_effects = settle t in
-    action_effects @ settle_effects
+  let create program ~self ~now = with_clock now boot program self
+
+  let rec try_actions t trigger = function
+    | [] -> []
+    | action :: rest ->
+      begin match action.handler ~self:t.self t.state trigger with
+      | None -> try_actions t trigger rest
+      | Some (state', effects) ->
+        t.state <- state';
+        t.fired <- action.name :: t.fired;
+        effects
+      end
+
+  let run_actions t trigger =
+    let action_effects = try_actions t trigger t.program.actions in
+    match settle t with
+    | [] -> action_effects
+    | settle_effects -> action_effects @ settle_effects
+
+  let deliver t ~now trigger = with_clock now run_actions t trigger
 end

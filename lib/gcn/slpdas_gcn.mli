@@ -68,6 +68,14 @@ type 'm effect_ =
   | Broadcast of 'm  (** transmit to all 1-hop neighbours *)
   | Set_timer of { timer : Timer.t; after : float }
       (** (re)arm a one-shot timer [after] seconds from now *)
+  | Set_timer_at of { timer : Timer.t; at : float }
+      (** (re)arm a one-shot timer to fire at the absolute simulated time
+          [at] — exactly [at], with no float arithmetic on the host's side —
+          superseding any pending arming of the same timer.  Lets a program
+          that stopped re-arming a periodic timer resume it on the exact
+          float time the uninterrupted chain would have reached (see
+          {!now}).  A host raises [Invalid_argument] when [at] lies before
+          its current time. *)
   | Stop_timer of Timer.t  (** cancel a timer; no-op if not armed *)
 
 type ('s, 'm) action = {
@@ -89,6 +97,19 @@ type ('s, 'm) program = {
   spontaneous : ('s, 'm) spontaneous list;
 }
 
+val now : unit -> float
+(** The host's simulated time, readable from inside a running [init],
+    action handler or spontaneous command: the [~now] given to the
+    {!Instance.create} or {!Instance.deliver} call being executed.  Each
+    call publishes it in a domain-local cell for its own duration only (a
+    nested call restores the outer value), so instances on different
+    domains never share a clock.  Raises [Invalid_argument] outside such a
+    call.
+
+    Together with {!Set_timer_at} this lets a node anchor timer chains to
+    its real boot time: a node rebooted mid-run reads its boot instant in
+    [init]. *)
+
 exception Divergent of string
 (** Raised when spontaneous actions fail to reach fixpoint within the fuel
     bound — a bug in the hosted protocol. *)
@@ -97,21 +118,23 @@ exception Divergent of string
 module Instance : sig
   type ('s, 'm) t
 
-  val create : ('s, 'm) program -> self:int -> ('s, 'm) t * 'm effect_ list
-  (** [create p ~self] boots the program: runs [init], then spontaneous
-      actions to fixpoint, returning the instance and all boot effects in
-      order. *)
+  val create :
+    ('s, 'm) program -> self:int -> now:float -> ('s, 'm) t * 'm effect_ list
+  (** [create p ~self ~now] boots the program at simulated time [now]: runs
+      [init], then spontaneous actions to fixpoint, returning the instance
+      and all boot effects in order.  {!now} reads [now] meanwhile. *)
 
   val self : ('s, 'm) t -> int
 
   val state : ('s, 'm) t -> 's
   (** Current state (for observers and tests). *)
 
-  val deliver : ('s, 'm) t -> 'm trigger -> 'm effect_ list
-  (** [deliver t trigger] runs the first enabled action for [trigger] (if
-      any), then spontaneous actions to fixpoint, and returns the effects in
-      emission order.  A trigger no action is enabled for is silently
-      dropped, like a message arriving in a state that ignores it. *)
+  val deliver : ('s, 'm) t -> now:float -> 'm trigger -> 'm effect_ list
+  (** [deliver t ~now trigger] runs the first enabled action for [trigger]
+      (if any), then spontaneous actions to fixpoint, and returns the
+      effects in emission order; {!now} reads [now] meanwhile.  A trigger
+      no action is enabled for is silently dropped, like a message arriving
+      in a state that ignores it. *)
 
   val fired : ('s, 'm) t -> string list
   (** Names of all actions fired so far, most recent first: the event trace

@@ -543,6 +543,11 @@ let rec apply_effects t node effects =
       | Slpdas_gcn.Set_timer { timer; after } ->
         let generation = bump_timer_generation t node timer in
         push t ~at:(t.now +. after) (Timer_fire { node; timer; generation })
+      | Slpdas_gcn.Set_timer_at { timer; at } ->
+        if at < t.now then
+          invalid_arg "Engine: Set_timer_at before the current time";
+        let generation = bump_timer_generation t node timer in
+        push t ~at (Timer_fire { node; timer; generation })
       | Slpdas_gcn.Stop_timer timer ->
         ignore (bump_timer_generation t node timer))
     effects;
@@ -666,7 +671,9 @@ and inject t ~node trigger =
   (* Crash-stop failures: a failed node neither processes triggers nor emits
      effects. *)
   if not t.failed.(node) then begin
-    let effects = Slpdas_gcn.Instance.deliver t.instances.(node) trigger in
+    let effects =
+      Slpdas_gcn.Instance.deliver t.instances.(node) ~now:t.now trigger
+    in
     apply_effects t node effects
   end
 
@@ -706,7 +713,7 @@ let revive_node t v =
        the crash reach the fresh instance — identically in both impls. *)
     let self = gid t v in
     let instance, effects =
-      Slpdas_gcn.Instance.create (t.program ~self) ~self
+      Slpdas_gcn.Instance.create (t.program ~self) ~self ~now:t.now
     in
     t.instances.(v) <- instance;
     emit t (Event.Node_revived { time = t.now; node = self });
@@ -792,7 +799,7 @@ let create ?(impl = Fast) ?(batch_cutover = default_batch_cutover) ?airtime
   let boot =
     Array.init n (fun v ->
         let self = self_of v in
-        Slpdas_gcn.Instance.create (program ~self) ~self)
+        Slpdas_gcn.Instance.create (program ~self) ~self ~now:0.0)
   in
   (* Cut-edge rx powers for the Fast Gaussian path, computed with the same
      float expression as the local link cache so boundary verdicts match the

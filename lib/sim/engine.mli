@@ -94,6 +94,12 @@ val create :
     sampling only; protocol-level randomness belongs in the programs
     themselves.
 
+    Every init and action runs with {!Slpdas_gcn.now} reading the engine's
+    current time.  [Set_timer] fires at [time + after];
+    [Set_timer_at { at }] fires at exactly [at] (both impls push the given
+    float unchanged) and raises [Invalid_argument] when [at] is before the
+    current time.
+
     [batch_cutover] (default {!default_batch_cutover}) selects the [Fast]
     impl's delivery regime by node count; tests pass [~batch_cutover:0] to
     force batching on small topologies so the differential oracle covers

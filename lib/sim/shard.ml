@@ -392,8 +392,14 @@ let run_coupled ?domains ?(impl = Engine.Fast) ?arm ?monitor ?inspect plan
           engines;
         !acc
       in
+      (* A monitor or harness callback that calls [Engine.stop] on a cell
+         ends the run at the barrier of the window it stopped in: a halted
+         cell's [run_window] returns at once, so its pending events would
+         otherwise keep [next_time] below [until] forever. *)
       let rec loop () =
-        let t_next = next_time () in
+        let t_next =
+          if Array.exists Engine.stopped engines then infinity else next_time ()
+        in
         if t_next <= until then begin
           (* Conservative horizon: nothing processed in
              [t_next, t_next + window) can influence another cell before
@@ -419,7 +425,8 @@ let run_coupled ?domains ?(impl = Engine.Fast) ?arm ?monitor ?inspect plan
         end
       in
       loop ());
-  Array.iter (fun e -> Engine.advance_to e until) engines;
+  if not (Array.exists Engine.stopped engines) then
+    Array.iter (fun e -> Engine.advance_to e until) engines;
   (match inspect with
   | Some f -> Array.iteri (fun i e -> f ~cell:plan.cells.(i) e) engines
   | None -> ());

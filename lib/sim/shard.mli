@@ -146,4 +146,12 @@ val run_coupled :
     never set a link override on a cut edge); [inspect] runs after the final
     barrier, in cell order, for state extraction.  Returns per-cell counters
     (cell order) and their input-order merge.  Results are independent of
-    [domains]. *)
+    [domains].
+
+    A cell stopped with {!Engine.stop} (by a monitor, a harness callback or
+    [arm]) ends the whole run at the barrier of the window it stopped in:
+    the stopped cell has run up to and including the event that stopped it,
+    every other cell has run all its events before that window's horizon —
+    at most one propagation delay past the earliest event of the window —
+    and no later ones, and no cell is advanced to [until].  A cell stopped
+    before the first window ends the run before any event runs. *)

@@ -775,6 +775,51 @@ let test_coupled_hunter () =
         (folded.Coupled.Hunter.capture_time <> None))
     links
 
+(* A monitor that stops one cell ends the coupled run at the barrier of the
+   window it stopped in.  (The window loop used to spin forever here: the
+   halted cell returned from every window at once while still reporting its
+   pending events.)  The stopped cell holds exactly the stopping delivery;
+   no cell ran an event at or past that window's horizon, and none was
+   advanced to [until]. *)
+let test_coupled_stop () =
+  let topology = Topology.grid 6 in
+  let plan = Shard.plan ~cells_x:2 ~cells_y:2 topology in
+  let nc = Array.length plan.Shard.cells in
+  let stopper = plan.Shard.cell_of_node.(0) in
+  let run domains =
+    let stop_at = ref infinity in
+    let last = Array.make nc neg_infinity in
+    let times = Array.make nc infinity in
+    let monitor ~cell e =
+      let id = cell.Shard.id in
+      Engine.subscribe e (fun ev ->
+          let t = Event.time ev in
+          if t > last.(id) then last.(id) <- t;
+          match ev with
+          | Event.Delivery _ when id = stopper && not (Engine.stopped e) ->
+            stop_at := t;
+            Engine.stop e
+          | _ -> ())
+    in
+    let per_cell, _ =
+      Shard.run_coupled ~domains ~monitor
+        ~inspect:(fun ~cell e -> times.(cell.Shard.id) <- Engine.time e)
+        plan ~link:Link_model.Ideal ~seed:42 ~program:wave_program ~until:8.0
+    in
+    Alcotest.(check int) "stopped cell holds the stopping delivery" 1
+      per_cell.(stopper).Event.deliveries;
+    Array.iteri
+      (fun i t ->
+        if t >= !stop_at +. Engine.propagation_delay then
+          Alcotest.failf "cell %d ran an event at %h, past the window" i t;
+        if times.(i) >= 8.0 then
+          Alcotest.failf "cell %d advanced to until" i)
+      last;
+    per_cell
+  in
+  let d1 = run 1 in
+  Alcotest.(check bool) "independent of the domain count" true (d1 = run 2)
+
 let test_coupled_domain_invariance () =
   let topology = Topology.grid 7 in
   let plan = Shard.plan ~cells_x:2 ~cells_y:2 topology in
@@ -1092,6 +1137,8 @@ let () =
             test_coupled_hunter;
           Alcotest.test_case "coupled domain-count invariance" `Quick
             test_coupled_domain_invariance;
+          Alcotest.test_case "a stopped cell ends the run" `Quick
+            test_coupled_stop;
           Alcotest.test_case "101x101 acceptance, links x domains" `Slow
             test_coupled_101;
           QCheck_alcotest.to_alcotest prop_coupled_cell_count_invariance;

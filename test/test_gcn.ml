@@ -54,7 +54,7 @@ let counter_program =
   { Gcn.init; actions = [ tick; recv ]; spontaneous = [ sat ] }
 
 let test_init_effects () =
-  let _, effects = Gcn.Instance.create counter_program ~self:3 in
+  let _, effects = Gcn.Instance.create counter_program ~self:3 ~now:0.0 in
   Alcotest.(check int) "one boot effect" 1 (List.length effects);
   match effects with
   | [ Gcn.Set_timer { timer; after } ] ->
@@ -63,41 +63,46 @@ let test_init_effects () =
   | _ -> Alcotest.fail "expected a Set_timer effect"
 
 let test_timeout_dispatch () =
-  let inst, _ = Gcn.Instance.create counter_program ~self:0 in
-  let effects = Gcn.Instance.deliver inst (Gcn.Timeout t_timer) in
+  let inst, _ = Gcn.Instance.create counter_program ~self:0 ~now:0.0 in
+  let effects = Gcn.Instance.deliver inst ~now:0.0 (Gcn.Timeout t_timer) in
   Alcotest.(check int) "count" 1 (Gcn.Instance.state inst).count;
   Alcotest.(check int) "rearm effect" 1 (List.length effects)
 
 let test_unknown_timeout_ignored () =
-  let inst, _ = Gcn.Instance.create counter_program ~self:0 in
+  let inst, _ = Gcn.Instance.create counter_program ~self:0 ~now:0.0 in
   let effects =
-    Gcn.Instance.deliver inst (Gcn.Timeout (Gcn.Timer.intern "nope"))
+    Gcn.Instance.deliver inst ~now:0.0 (Gcn.Timeout (Gcn.Timer.intern "nope"))
   in
   Alcotest.(check int) "no effects" 0 (List.length effects);
   Alcotest.(check int) "state unchanged" 0 (Gcn.Instance.state inst).count
 
 let test_receive_dispatch () =
-  let inst, _ = Gcn.Instance.create counter_program ~self:0 in
-  let effects = Gcn.Instance.deliver inst (Gcn.Receive { sender = 9; msg = 5 }) in
+  let inst, _ = Gcn.Instance.create counter_program ~self:0 ~now:0.0 in
+  let effects =
+    Gcn.Instance.deliver inst ~now:0.0 (Gcn.Receive { sender = 9; msg = 5 })
+  in
   Alcotest.(check int) "count" 5 (Gcn.Instance.state inst).count;
   match effects with
   | [ Gcn.Broadcast 5 ] -> ()
   | _ -> Alcotest.fail "expected Broadcast 5"
 
 let test_spontaneous_fires_once () =
-  let inst, _ = Gcn.Instance.create counter_program ~self:0 in
-  let effects = Gcn.Instance.deliver inst (Gcn.Receive { sender = 1; msg = 12 }) in
+  let inst, _ = Gcn.Instance.create counter_program ~self:0 ~now:0.0 in
+  let effects =
+    Gcn.Instance.deliver inst ~now:0.0 (Gcn.Receive { sender = 1; msg = 12 })
+  in
   (* recv effect then the latch broadcast from the spontaneous action *)
   Alcotest.(check int) "two effects" 2 (List.length effects);
   Alcotest.(check bool) "latched" true (Gcn.Instance.state inst).latched;
   (* Further triggers do not re-fire the latched spontaneous action. *)
-  let effects2 = Gcn.Instance.deliver inst (Gcn.Timeout t_timer) in
+  let effects2 = Gcn.Instance.deliver inst ~now:0.0 (Gcn.Timeout t_timer) in
   Alcotest.(check int) "only rearm" 1 (List.length effects2)
 
 let test_fired_trace () =
-  let inst, _ = Gcn.Instance.create counter_program ~self:0 in
-  ignore (Gcn.Instance.deliver inst (Gcn.Timeout t_timer));
-  ignore (Gcn.Instance.deliver inst (Gcn.Receive { sender = 1; msg = 12 }));
+  let inst, _ = Gcn.Instance.create counter_program ~self:0 ~now:0.0 in
+  ignore (Gcn.Instance.deliver inst ~now:0.0 (Gcn.Timeout t_timer));
+  ignore
+    (Gcn.Instance.deliver inst ~now:0.0 (Gcn.Receive { sender = 1; msg = 12 }));
   Alcotest.(check (list string)) "event trace (most recent first)"
     [ "sat"; "recv"; "tick"; "init" ]
     (Gcn.Instance.fired inst)
@@ -117,8 +122,8 @@ let test_first_enabled_action_wins () =
   let program =
     { Gcn.init = (fun ~self:_ -> (0, [])); actions = [ mk "a" 1; mk "b" 2 ]; spontaneous = [] }
   in
-  let inst, _ = Gcn.Instance.create program ~self:0 in
-  ignore (Gcn.Instance.deliver inst (Gcn.Timeout x_timer));
+  let inst, _ = Gcn.Instance.create program ~self:0 ~now:0.0 in
+  ignore (Gcn.Instance.deliver inst ~now:0.0 (Gcn.Timeout x_timer));
   Alcotest.(check int) "first action fired" 1 (Gcn.Instance.state inst)
 
 let test_guard_false_falls_through () =
@@ -146,10 +151,12 @@ let test_guard_false_falls_through () =
   let program =
     { Gcn.init = (fun ~self:_ -> (0, [])); actions = [ odd_only; any ]; spontaneous = [] }
   in
-  let inst, _ = Gcn.Instance.create program ~self:0 in
-  ignore (Gcn.Instance.deliver inst (Gcn.Receive { sender = 0; msg = 3 }));
+  let inst, _ = Gcn.Instance.create program ~self:0 ~now:0.0 in
+  ignore
+    (Gcn.Instance.deliver inst ~now:0.0 (Gcn.Receive { sender = 0; msg = 3 }));
   Alcotest.(check int) "odd handled by first" 3 (Gcn.Instance.state inst);
-  ignore (Gcn.Instance.deliver inst (Gcn.Receive { sender = 0; msg = 2 }));
+  ignore
+    (Gcn.Instance.deliver inst ~now:0.0 (Gcn.Receive { sender = 0; msg = 2 }));
   Alcotest.(check int) "even fell through" 203 (Gcn.Instance.state inst)
 
 let test_round_end_trigger () =
@@ -168,9 +175,9 @@ let test_round_end_trigger () =
       spontaneous = [];
     }
   in
-  let inst, _ = Gcn.Instance.create program ~self:0 in
-  ignore (Gcn.Instance.deliver inst Gcn.Round_end);
-  ignore (Gcn.Instance.deliver inst Gcn.Round_end);
+  let inst, _ = Gcn.Instance.create program ~self:0 ~now:0.0 in
+  ignore (Gcn.Instance.deliver inst ~now:0.0 Gcn.Round_end);
+  ignore (Gcn.Instance.deliver inst ~now:0.0 Gcn.Round_end);
   Alcotest.(check int) "two rounds" 2 (Gcn.Instance.state inst)
 
 let test_divergent_spontaneous_detected () =
@@ -186,7 +193,7 @@ let test_divergent_spontaneous_detected () =
   in
   Alcotest.check_raises "divergence"
     (Gcn.Divergent "spontaneous actions did not settle") (fun () ->
-      ignore (Gcn.Instance.create program ~self:0))
+      ignore (Gcn.Instance.create program ~self:0 ~now:0.0))
 
 let test_spontaneous_chain () =
   (* Two spontaneous actions that enable each other once: a then b. *)
@@ -217,8 +224,8 @@ let test_spontaneous_chain () =
   let program =
     { Gcn.init = (fun ~self:_ -> ((0, false), [])); actions = [ bump ]; spontaneous = [ a; b ] }
   in
-  let inst, _ = Gcn.Instance.create program ~self:0 in
-  let effects = Gcn.Instance.deliver inst (Gcn.Timeout go_timer) in
+  let inst, _ = Gcn.Instance.create program ~self:0 ~now:0.0 in
+  let effects = Gcn.Instance.deliver inst ~now:0.0 (Gcn.Timeout go_timer) in
   Alcotest.(check int) "both spontaneous effects" 2 (List.length effects);
   Alcotest.(check (list string)) "order a then b"
     [ "b"; "a"; "bump"; "init" ]
@@ -232,9 +239,88 @@ let test_self_passed_to_handlers () =
       spontaneous = [];
     }
   in
-  let inst, _ = Gcn.Instance.create program ~self:17 in
+  let inst, _ = Gcn.Instance.create program ~self:17 ~now:0.0 in
   Alcotest.(check int) "self" 17 (Gcn.Instance.self inst);
   Alcotest.(check int) "state init saw self" 17 (Gcn.Instance.state inst)
+
+(* ------------------------------------------------------------------ *)
+(* Simulated clock                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* State: every [now ()] reading, newest first — one in init, one per
+   handled trigger and one per spontaneous command. *)
+let clock_program =
+  {
+    Gcn.init = (fun ~self:_ -> ([ Gcn.now () ], []));
+    actions =
+      [
+        {
+          Gcn.name = "read";
+          handler = (fun ~self:_ s _ -> Some (Gcn.now () :: s, []));
+        };
+      ];
+    spontaneous = [];
+  }
+
+let test_now_reads_host_time () =
+  let inst, _ = Gcn.Instance.create clock_program ~self:0 ~now:2.5 in
+  ignore (Gcn.Instance.deliver inst ~now:7.125 Gcn.Round_end);
+  ignore (Gcn.Instance.deliver inst ~now:(0.1 +. 0.2) (Gcn.Timeout t_timer));
+  Alcotest.(check (list (float 0.0))) "init and handlers read ~now"
+    [ 0.1 +. 0.2; 7.125; 2.5 ] (Gcn.Instance.state inst)
+
+let test_now_outside_a_call_raises () =
+  let inst, _ = Gcn.Instance.create clock_program ~self:0 ~now:1.0 in
+  ignore (Gcn.Instance.deliver inst ~now:3.0 Gcn.Round_end);
+  Alcotest.check_raises "no call running"
+    (Invalid_argument "Slpdas_gcn.now: no init or action is running")
+    (fun () -> ignore (Gcn.now ()))
+
+let test_now_nested_restores () =
+  (* A handler that delivers to a second instance at another time sees its
+     own clock again afterwards. *)
+  let inner, _ = Gcn.Instance.create clock_program ~self:1 ~now:0.0 in
+  let outer =
+    {
+      Gcn.init = (fun ~self:_ -> ([], []));
+      actions =
+        [
+          {
+            Gcn.name = "nest";
+            handler =
+              (fun ~self:_ s _ ->
+                let before = Gcn.now () in
+                ignore (Gcn.Instance.deliver inner ~now:9.0 Gcn.Round_end);
+                Some (Gcn.now () :: before :: s, []));
+          };
+        ];
+      spontaneous = [];
+    }
+  in
+  let inst, _ = Gcn.Instance.create outer ~self:0 ~now:0.0 in
+  ignore (Gcn.Instance.deliver inst ~now:4.0 Gcn.Round_end);
+  Alcotest.(check (list (float 0.0))) "outer clock restored" [ 4.0; 4.0 ]
+    (Gcn.Instance.state inst);
+  Alcotest.(check (list (float 0.0))) "inner saw its own time" [ 9.0; 0.0 ]
+    (Gcn.Instance.state inner)
+
+let test_now_restored_after_raise () =
+  let program =
+    {
+      Gcn.init = (fun ~self:_ -> ((), []));
+      actions =
+        [
+          { Gcn.name = "boom"; handler = (fun ~self:_ _ _ -> failwith "boom") };
+        ];
+      spontaneous = [];
+    }
+  in
+  let inst, _ = Gcn.Instance.create program ~self:0 ~now:0.0 in
+  (try ignore (Gcn.Instance.deliver inst ~now:5.0 Gcn.Round_end)
+   with Failure _ -> ());
+  Alcotest.check_raises "clock cleared after the raise"
+    (Invalid_argument "Slpdas_gcn.now: no init or action is running")
+    (fun () -> ignore (Gcn.now ()))
 
 (* ------------------------------------------------------------------ *)
 (* Timer interning                                                    *)
@@ -301,6 +387,17 @@ let () =
             test_divergent_spontaneous_detected;
           Alcotest.test_case "spontaneous chain" `Quick test_spontaneous_chain;
           Alcotest.test_case "self propagated" `Quick test_self_passed_to_handlers;
+        ] );
+      ( "clock",
+        [
+          Alcotest.test_case "init and handlers read ~now" `Quick
+            test_now_reads_host_time;
+          Alcotest.test_case "outside a call raises" `Quick
+            test_now_outside_a_call_raises;
+          Alcotest.test_case "nested call restores" `Quick
+            test_now_nested_restores;
+          Alcotest.test_case "restored after a raise" `Quick
+            test_now_restored_after_raise;
         ] );
       ( "timer interning",
         [

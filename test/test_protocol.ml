@@ -717,6 +717,84 @@ let test_message_describe () =
   Alcotest.(check string) "data" "data"
     (Messages.describe (Messages.Data { origin = 0; seq = 1; readings = [] }))
 
+(* ------------------------------------------------------------------ *)
+(* Parent-pinned event streams (see stream_oracle.ml)                 *)
+(* ------------------------------------------------------------------ *)
+
+let stream_observations =
+  lazy (List.map (fun c -> (c, Stream_oracle.observe c)) Stream_oracle.cases)
+
+let recorded c =
+  match List.assoc_opt (Stream_oracle.name c) Stream_digests.table with
+  | Some o -> o
+  | None -> Alcotest.failf "no recorded digest for %s" (Stream_oracle.name c)
+
+let test_stream_oracle_matches () =
+  List.iter
+    (fun (c, (o : Stream_oracle.observation)) ->
+      let r = recorded c in
+      let name = Stream_oracle.name c in
+      Alcotest.(check string) (name ^ " digest") r.digest o.digest;
+      Alcotest.(check int) (name ^ " events") r.events o.events;
+      Alcotest.(check bool) (name ^ " captured") r.captured o.captured;
+      Alcotest.(check int) (name ^ " attacker_final") r.attacker_final
+        o.attacker_final;
+      Alcotest.(check int) (name ^ " total_messages") r.total_messages
+        o.total_messages;
+      Alcotest.(check string) (name ^ " schedule") r.schedule o.schedule)
+    (Lazy.force stream_observations)
+
+let test_stream_oracle_timer_fires () =
+  List.iter
+    (fun ((c : Stream_oracle.case), (o : Stream_oracle.observation)) ->
+      if c.dim = 11 then begin
+        let r = recorded c in
+        if o.timer_fires * 5 > r.timer_fires then
+          Alcotest.failf "%s: %d timer fires, parent %d (< 5x fewer)"
+            (Stream_oracle.name c) o.timer_fires r.timer_fires
+      end)
+    (Lazy.force stream_observations)
+
+(* Exact ties never arise in the runs above, so pin the resume rule
+   directly: a wake at exactly a parked round's time counts that round as
+   past (its timer would have been queued a round earlier and already ran
+   as a no-op) and arms the round after it. *)
+let test_stream_oracle_tie_is_past () =
+  let topo = Topology.grid 5 in
+  let config = make_config topo in
+  let self = 0 in
+  let inst, _ =
+    Slpdas_gcn.Instance.create (Protocol.program config ~self) ~self ~now:0.0
+  in
+  let chain () = (Slpdas_gcn.Instance.state inst).Protocol.process in
+  let at0 = (chain ()).Protocol.at in
+  (* Unassigned, no potential parent: the process round is a no-op. *)
+  Alcotest.(check int) "no-op round arms nothing" 0
+    (List.length
+       (Slpdas_gcn.Instance.deliver inst ~now:at0
+          (Slpdas_gcn.Timeout Protocol.Timer.process)));
+  let parked = chain () in
+  Alcotest.(check bool) "parked" false parked.Protocol.armed;
+  Alcotest.(check int) "next round" 1 parked.Protocol.round;
+  let period = config.Protocol.dissemination_period in
+  Alcotest.(check (float 0.0)) "next round time" (at0 +. period)
+    parked.Protocol.at;
+  let effects =
+    Slpdas_gcn.Instance.deliver inst ~now:parked.Protocol.at
+      (Slpdas_gcn.Receive { sender = 1; msg = Messages.Hello })
+  in
+  let armed =
+    List.filter_map
+      (function
+        | Slpdas_gcn.Set_timer_at { timer; at }
+          when Slpdas_gcn.Timer.equal timer Protocol.Timer.process -> Some at
+        | _ -> None)
+      effects
+  in
+  Alcotest.(check (list (float 0.0))) "armed the round after the tie"
+    [ parked.Protocol.at +. period ] armed;
+  Alcotest.(check int) "chain position" 2 (chain ()).Protocol.round
+
 let () =
   Alcotest.run "protocol"
     [
@@ -786,4 +864,13 @@ let () =
         ] );
       ( "messages",
         [ Alcotest.test_case "describe" `Quick test_message_describe ] );
+      ( "stream-oracle",
+        [
+          Alcotest.test_case "non-timer streams match the parent" `Quick
+            test_stream_oracle_matches;
+          Alcotest.test_case "11x11 timer fires fall 5x" `Quick
+            test_stream_oracle_timer_fires;
+          Alcotest.test_case "a tie with a parked round is past" `Quick
+            test_stream_oracle_tie_is_past;
+        ] );
     ]

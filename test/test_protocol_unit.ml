@@ -28,9 +28,9 @@ let config ?(mode = Protocol.Slp) ?(seed = 1) ?(sink = 9) () =
 
 let boot ?mode ?seed ?sink ~self () =
   let c = config ?mode ?seed ?sink () in
-  Gcn.Instance.create (Protocol.program c ~self) ~self
+  Gcn.Instance.create (Protocol.program c ~self) ~self ~now:0.0
 
-let deliver = Gcn.Instance.deliver
+let deliver inst trigger = Gcn.Instance.deliver inst ~now:0.0 trigger
 
 let state = Gcn.Instance.state
 

@@ -233,6 +233,169 @@ let test_late_interned_timer ~impl () =
   Alcotest.(check int) "late timer fired" 100 (Engine.node_state e 0)
 
 (* ------------------------------------------------------------------ *)
+(* Absolute timers and the simulated clock                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Timer fires seen on the bus, as (node, timer, time bits). *)
+let timer_fires e =
+  let fires = ref [] in
+  Engine.subscribe e (function
+    | Slpdas_sim.Event.Timer_fire { time; node; timer } ->
+      fires := (node, timer, Int64.bits_of_float time) :: !fires
+    | _ -> ());
+  fun () -> List.rev !fires
+
+let test_timer_at_exact ~impl () =
+  let at = 0.1 +. 0.2 +. 1e-9 in
+  let effects = [ Gcn.Set_timer_at { timer = x_timer; at } ] in
+  let e =
+    Engine.create ~impl ~topology:(Topology.line 2) ~link:Link_model.Ideal
+      ~rng:(Rng.create 1) ~program:(count_x_program ~effects) ()
+  in
+  let fires = timer_fires e in
+  Engine.run_until e 10.0;
+  Alcotest.(check (list (triple int string int64))) "fired at exactly [at]"
+    [ (0, "x", Int64.bits_of_float at); (1, "x", Int64.bits_of_float at) ]
+    (fires ())
+
+let test_timer_at_supersedes ~impl () =
+  let check_one name effects ~quiet_until ~fired_by =
+    let e =
+      Engine.create ~impl ~topology:(Topology.line 2) ~link:Link_model.Ideal
+        ~rng:(Rng.create 1) ~program:(count_x_program ~effects) ()
+    in
+    Engine.run_until e quiet_until;
+    Alcotest.(check int) (name ^ ": stale arming dropped") 0
+      (Engine.node_state e 0);
+    Engine.run_until e fired_by;
+    Alcotest.(check int) (name ^ ": fired once") 1 (Engine.node_state e 0);
+    Engine.run_until e 20.0;
+    Alcotest.(check int) (name ^ ": never again") 1 (Engine.node_state e 0)
+  in
+  check_one "absolute over relative"
+    [
+      Gcn.Set_timer { timer = x_timer; after = 5.0 };
+      Gcn.Set_timer_at { timer = x_timer; at = 8.0 };
+    ]
+    ~quiet_until:6.0 ~fired_by:8.0;
+  check_one "relative over absolute"
+    [
+      Gcn.Set_timer_at { timer = x_timer; at = 2.0 };
+      Gcn.Set_timer { timer = x_timer; after = 4.0 };
+    ]
+    ~quiet_until:3.0 ~fired_by:4.0
+
+let test_timer_at_past_raises ~impl () =
+  (* On its fire at t = 2, node 0 asks for a fire at t = 1. *)
+  let program ~self:_ =
+    {
+      Gcn.init =
+        (fun ~self ->
+          ( (),
+            if self = 0 then [ Gcn.Set_timer { timer = x_timer; after = 2.0 } ]
+            else [] ));
+      actions =
+        [
+          {
+            Gcn.name = "back";
+            handler =
+              (fun ~self:_ () trigger ->
+                match trigger with
+                | Gcn.Timeout _ ->
+                  Some ((), [ Gcn.Set_timer_at { timer = x_timer; at = 1.0 } ])
+                | _ -> None);
+          };
+        ];
+      spontaneous = [];
+    }
+  in
+  let e =
+    Engine.create ~impl ~topology:(Topology.line 2) ~link:Link_model.Ideal
+      ~rng:(Rng.create 1) ~program ()
+  in
+  Alcotest.check_raises "past absolute time"
+    (Invalid_argument "Engine: Set_timer_at before the current time")
+    (fun () -> Engine.run_until e 5.0)
+
+(* A periodic chain kept two ways: even nodes re-arm relatively, odd nodes
+   accumulate the absolute time themselves from [now ()] — the same floats,
+   so both impls fire every chain on identical bits. *)
+let chain_program ~self:_ =
+  let period = 0.1 +. (0.2 /. 3.0) in
+  let arm self =
+    if self mod 2 = 0 then Gcn.Set_timer { timer = x_timer; after = period }
+    else Gcn.Set_timer_at { timer = x_timer; at = Gcn.now () +. period }
+  in
+  {
+    Gcn.init = (fun ~self -> (0, [ arm self ]));
+    actions =
+      [
+        {
+          Gcn.name = "tick";
+          handler =
+            (fun ~self n trigger ->
+              match trigger with
+              | Gcn.Timeout _ when n < 20 -> Some (n + 1, [ arm self ])
+              | _ -> None);
+        };
+      ];
+    spontaneous = [];
+  }
+
+let test_timer_at_impls_agree () =
+  let run impl =
+    let e =
+      Engine.create ~impl ~topology:(Topology.grid 3) ~link:Link_model.Ideal
+        ~rng:(Rng.create 1) ~program:chain_program ()
+    in
+    let fires = timer_fires e in
+    Engine.run_until e 10.0;
+    fires ()
+  in
+  let fast = run Engine.Fast in
+  Alcotest.(check int) "every chain ran" (9 * 21) (List.length fast);
+  Alcotest.(check (list (triple int string int64))) "Fast = Reference" fast
+    (run Engine.Reference);
+  (* Relative and absolute chains land on the same floats. *)
+  let times node =
+    List.filter_map (fun (v, _, t) -> if v = node then Some t else None) fast
+  in
+  Alcotest.(check (list int64)) "absolute = relative" (times 0) (times 1)
+
+(* State: every [now ()] reading, newest first. *)
+let clock_program ~self:_ =
+  {
+    Gcn.init =
+      (fun ~self ->
+        ( [ Gcn.now () ],
+          if self = 0 then [ Gcn.Set_timer { timer = x_timer; after = 1.5 } ]
+          else [] ));
+    actions =
+      [
+        {
+          Gcn.name = "read";
+          handler = (fun ~self:_ s _ -> Some (Gcn.now () :: s, []));
+        };
+      ];
+    spontaneous = [];
+  }
+
+let test_now_is_engine_time ~impl () =
+  let e =
+    Engine.create ~impl ~topology:(Topology.line 3) ~link:Link_model.Ideal
+      ~rng:(Rng.create 1) ~program:clock_program ()
+  in
+  Engine.schedule e ~at:2.0 (fun e -> Engine.fail_node e 1);
+  Engine.schedule e ~at:3.25 (fun e ->
+      Engine.revive_node e 1;
+      Engine.inject e ~node:1 Gcn.Round_end);
+  Engine.run_until e 5.0;
+  Alcotest.(check (list (float 0.0))) "boot and timer fire" [ 1.5; 0.0 ]
+    (Engine.node_state e 0);
+  Alcotest.(check (list (float 0.0))) "revived node boots at 3.25" [ 3.25; 3.25 ]
+    (Engine.node_state e 1)
+
+(* ------------------------------------------------------------------ *)
 (* Destructive interference (airtime)                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -622,6 +785,26 @@ let () =
             (test_late_interned_timer ~impl:Engine.Fast);
           Alcotest.test_case "late-interned timer (reference)" `Quick
             (test_late_interned_timer ~impl:Engine.Reference);
+        ] );
+      ( "absolute timers",
+        [
+          Alcotest.test_case "fires at exactly at" `Quick
+            (test_timer_at_exact ~impl:Engine.Fast);
+          Alcotest.test_case "fires at exactly at (reference)" `Quick
+            (test_timer_at_exact ~impl:Engine.Reference);
+          Alcotest.test_case "supersedes" `Quick
+            (test_timer_at_supersedes ~impl:Engine.Fast);
+          Alcotest.test_case "supersedes (reference)" `Quick
+            (test_timer_at_supersedes ~impl:Engine.Reference);
+          Alcotest.test_case "past time raises" `Quick
+            (test_timer_at_past_raises ~impl:Engine.Fast);
+          Alcotest.test_case "past time raises (reference)" `Quick
+            (test_timer_at_past_raises ~impl:Engine.Reference);
+          Alcotest.test_case "Fast = Reference" `Quick test_timer_at_impls_agree;
+          Alcotest.test_case "now is engine time" `Quick
+            (test_now_is_engine_time ~impl:Engine.Fast);
+          Alcotest.test_case "now is engine time (reference)" `Quick
+            (test_now_is_engine_time ~impl:Engine.Reference);
         ] );
       ( "interference",
         [

@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; see README.md "Reproducing the paper".
 
-.PHONY: build test lint lint-typed bench bench-smoke bench-determinism chaos-smoke scale-smoke couple-smoke serve-smoke attack-smoke pipeline-smoke des-smoke clean
+.PHONY: build test lint lint-typed bench bench-smoke bench-determinism chaos-smoke scale-smoke couple-smoke serve-smoke attack-smoke pipeline-smoke des-smoke related-smoke clean
 
 build:
 	dune build @all
@@ -192,6 +192,36 @@ des-smoke:
 	    || { echo "des-smoke: simulate $$mode fired $$fires timers (limit 20000)"; exit 1; }; \
 	done
 	@echo "DES broadcasts, deliveries and attacker moves pinned; timer fires < 20000"
+
+# Related-work baselines end to end: the phantom (compass walk), sector
+# (PSSPR sector walk) and fake-source subcommands at --dim 7 --runs 4 must
+# print exactly the text in test/cli_golden, recorded before the compass
+# and sector walks became direction policies of one protocol, at
+# --domains 1 and 2.  An out-of-range --sectors, --rate, --runs,
+# --domains, --cells or --walk must be a usage error naming the flag
+# (Cmdliner exit 124), never an uncaught exception (exit 125) or a run.
+related-smoke:
+	for cmd in phantom sector fake; do \
+	  for d in 1 2; do \
+	    dune exec bin/slp_das_cli.exe -- $$cmd --dim 7 --runs 4 --domains $$d \
+	      > _build/related_$$cmd.out || exit 1; \
+	    diff -u test/cli_golden/$$cmd.txt _build/related_$$cmd.out || exit 1; \
+	  done; \
+	done
+	@echo "phantom, sector and fake stdout match the pinned text at --domains 1 and 2"
+	for case in 'sector --sectors=0|--sectors' 'sector --sectors=-2|--sectors' \
+	  'fake --rate=0|--rate' 'fake --rate=-1|--rate' \
+	  'phantom --runs=0|--runs' 'fake --runs=0|--runs' 'sector --runs=0|--runs' \
+	  'experiment --runs=0|--runs' 'phantom --domains=-1|--domains' \
+	  'scale --cells=0|--cells' 'phantom --walk=-1|--walk' \
+	  'sector --walk=-1|--walk'; do \
+	  status=0; dune exec bin/slp_das_cli.exe -- $${case%%|*} \
+	    > /dev/null 2> _build/related_bad.err || status=$$?; \
+	  { test $$status -ne 0 && test $$status -ne 125 \
+	    && grep -qF "option '$${case#*|}'" _build/related_bad.err; } \
+	    || { echo "related-smoke: $${case%%|*} exited $$status"; exit 1; }; \
+	done
+	@echo "out-of-range related-work flags are usage errors naming the flag"
 
 clean:
 	dune clean

@@ -259,6 +259,7 @@ let related_work () =
                {
                  Slpdas_exp.Phantom_runner.topology;
                  walk_length;
+                 direction = Slpdas_core.Phantom.Compass;
                  link = Slpdas_sim.Link_model.Ideal;
                  seed;
                })
@@ -587,7 +588,13 @@ let energy () =
     let phantom name walk_length =
       let r =
         Slpdas_exp.Phantom_runner.run
-          { topology; walk_length; link = Slpdas_sim.Link_model.Ideal; seed = 1 }
+          {
+            topology;
+            walk_length;
+            direction = Slpdas_core.Phantom.Compass;
+            link = Slpdas_sim.Link_model.Ideal;
+            seed = 1;
+          }
       in
       row name
         ~broadcasts_by_node:r.Slpdas_exp.Phantom_runner.broadcasts_by_node

@@ -19,6 +19,15 @@ let int_at_least low =
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
 
+(* A float above zero, rejected the same way. *)
+let positive_float =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.float s) (fun v ->
+        if v > 0.0 then Ok v
+        else Error (`Msg (Printf.sprintf "must be > 0, got %g" v)))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let dim_arg =
   let doc = "Grid dimension (the paper uses 11, 15 and 21); at least 2." in
   Arg.(value & opt (int_at_least 2) 11 & info [ "d"; "dim" ] ~docv:"DIM" ~doc)
@@ -46,15 +55,20 @@ let slp_arg =
   Arg.(value & flag & info [ "slp" ] ~doc)
 
 let runs_arg =
-  let doc = "Number of seeded runs." in
-  Arg.(value & opt int 50 & info [ "n"; "runs" ] ~docv:"RUNS" ~doc)
+  let doc = "Number of seeded runs; at least 1." in
+  Arg.(
+    value & opt (int_at_least 1) 50 & info [ "n"; "runs" ] ~docv:"RUNS" ~doc)
 
 let domains_arg =
   let doc =
     "Worker domains for multi-run commands (default: the hardware's \
-     recommended count).  Results are identical for every value."
+     recommended count; at least 1).  Results are identical for every \
+     value."
   in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (some (int_at_least 1)) None
+    & info [ "domains" ] ~docv:"N" ~doc)
 
 let events_json_arg =
   let doc =

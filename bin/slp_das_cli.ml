@@ -293,65 +293,70 @@ let simulate_cmd =
 (* phantom                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let phantom_cmd =
-  let run dim runs walk_length cls domains events_json =
-    let topo = topology_of_dim dim in
-    let configs =
-      List.init runs (fun seed ->
-          {
-            Slpdas_exp.Phantom_runner.topology = topo;
-            walk_length;
-            link = Slpdas_sim.Link_model.Ideal;
-            seed;
-          })
-    in
-    let results, counters =
-      Slpdas_exp.Phantom_runner.run_many_with_events ?domains ~hunter:cls
-        configs
-    in
-    let captures = ref 0 and times = ref [] and msgs = ref 0 in
-    let n_nodes = Slpdas_wsn.Graph.n topo.Slpdas_wsn.Topology.graph in
-    let tx_by_node = Array.make n_nodes 0 in
-    let duration = ref 0.0 in
-    List.iter
-      (fun r ->
-        if r.Slpdas_exp.Phantom_runner.captured then begin
-          incr captures;
-          match r.Slpdas_exp.Phantom_runner.capture_seconds with
-          | Some t -> times := t :: !times
-          | None -> ()
-        end;
-        msgs := !msgs + r.Slpdas_exp.Phantom_runner.messages_sent;
-        Array.iteri
-          (fun i c -> tx_by_node.(i) <- tx_by_node.(i) + c)
-          r.Slpdas_exp.Phantom_runner.broadcasts_by_node;
-        duration := !duration +. r.Slpdas_exp.Phantom_runner.duration_seconds)
-      results;
-    Format.printf
-      "phantom routing (walk %d) on %dx%d over %d runs:@.  capture ratio %.1f%%@."
-      walk_length dim dim runs
-      (100.0 *. float_of_int !captures /. float_of_int runs);
-    (match !times with
-    | [] -> ()
-    | ts ->
-      Format.printf "  mean capture time %.1fs@." (Slpdas_util.Stats.mean ts));
-    Format.printf "  mean transmissions per run %d@." (!msgs / max 1 runs);
-    print_energy ~runs topo.Slpdas_wsn.Topology.graph
-      ~broadcasts_by_node:tx_by_node ~duration_seconds:!duration;
-    write_events_json events_json counters
+(* Both walk direction policies run the same ensemble and print the same
+   summary: capture ratio, mean capture time, transmissions and energy. *)
+let run_phantom ~header ~direction dim runs walk_length cls domains
+    events_json =
+  let topo = topology_of_dim dim in
+  let configs =
+    List.init runs (fun seed ->
+        {
+          Slpdas_exp.Phantom_runner.topology = topo;
+          walk_length;
+          direction;
+          link = Slpdas_sim.Link_model.Ideal;
+          seed;
+        })
   in
-  let walk_arg =
-    Arg.(
-      value & opt int 5
-      & info [ "walk" ] ~docv:"W"
-          ~doc:"Directed random-walk length (0 = pure flooding).")
+  let results, counters =
+    Slpdas_exp.Phantom_runner.run_many_with_events ?domains ~hunter:cls configs
+  in
+  let captures = ref 0 and times = ref [] and msgs = ref 0 in
+  let n_nodes = Slpdas_wsn.Graph.n topo.Slpdas_wsn.Topology.graph in
+  let tx_by_node = Array.make n_nodes 0 in
+  let duration = ref 0.0 in
+  List.iter
+    (fun r ->
+      if r.Slpdas_exp.Phantom_runner.captured then begin
+        incr captures;
+        match r.Slpdas_exp.Phantom_runner.capture_seconds with
+        | Some t -> times := t :: !times
+        | None -> ()
+      end;
+      msgs := !msgs + r.Slpdas_exp.Phantom_runner.messages_sent;
+      Array.iteri
+        (fun i c -> tx_by_node.(i) <- tx_by_node.(i) + c)
+        r.Slpdas_exp.Phantom_runner.broadcasts_by_node;
+      duration := !duration +. r.Slpdas_exp.Phantom_runner.duration_seconds)
+    results;
+  Format.printf "%s on %dx%d over %d runs:@.  capture ratio %.1f%%@." header
+    dim dim runs
+    (100.0 *. float_of_int !captures /. float_of_int runs);
+  (match !times with
+  | [] -> ()
+  | ts ->
+    Format.printf "  mean capture time %.1fs@." (Slpdas_util.Stats.mean ts));
+  Format.printf "  mean transmissions per run %d@." (!msgs / runs);
+  print_energy ~runs topo.Slpdas_wsn.Topology.graph
+    ~broadcasts_by_node:tx_by_node ~duration_seconds:!duration;
+  write_events_json events_json counters
+
+let walk_arg ~doc =
+  Arg.(value & opt (int_at_least 0) 5 & info [ "walk" ] ~docv:"W" ~doc)
+
+let phantom_cmd =
+  let run dim runs walk_length =
+    run_phantom
+      ~header:(Printf.sprintf "phantom routing (walk %d)" walk_length)
+      ~direction:Slpdas_core.Phantom.Compass dim runs walk_length
   in
   Cmd.v
     (Cmd.info "phantom"
        ~doc:"Run the routing-layer phantom baseline (related work, SII)")
     Term.(
-      const run $ dim_arg $ runs_arg $ walk_arg $ attacker_cls_arg
-      $ domains_arg $ events_json_arg)
+      const run $ dim_arg $ runs_arg
+      $ walk_arg ~doc:"Directed random-walk length (0 = pure flooding)."
+      $ attacker_cls_arg $ domains_arg $ events_json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fake sources                                                       *)
@@ -402,9 +407,9 @@ let fake_cmd =
   in
   let rate_arg =
     Arg.(
-      value & opt float 1.0
+      value & opt positive_float 1.0
       & info [ "rate" ] ~docv:"X"
-          ~doc:"Decoy chatter relative to the source's rate.")
+          ~doc:"Decoy chatter relative to the source's rate; above 0.")
   in
   Cmd.v
     (Cmd.info "fake"
@@ -418,65 +423,21 @@ let fake_cmd =
 (* ------------------------------------------------------------------ *)
 
 let sector_cmd =
-  let run dim runs walk_length num_sectors cls domains events_json =
-    let topo = topology_of_dim dim in
-    let configs =
-      List.init runs (fun seed ->
-          {
-            Slpdas_exp.Sector_runner.topology = topo;
-            walk_length;
-            num_sectors;
-            link = Slpdas_sim.Link_model.Ideal;
-            seed;
-          })
-    in
-    let results, counters =
-      Slpdas_exp.Sector_runner.run_many_with_events ?domains ~hunter:cls
-        configs
-    in
-    let captures = ref 0 and times = ref [] and msgs = ref 0 in
-    let n_nodes = Slpdas_wsn.Graph.n topo.Slpdas_wsn.Topology.graph in
-    let tx_by_node = Array.make n_nodes 0 in
-    let duration = ref 0.0 in
-    List.iter
-      (fun r ->
-        if r.Slpdas_exp.Sector_runner.captured then begin
-          incr captures;
-          match r.Slpdas_exp.Sector_runner.capture_seconds with
-          | Some t -> times := t :: !times
-          | None -> ()
-        end;
-        msgs := !msgs + r.Slpdas_exp.Sector_runner.messages_sent;
-        Array.iteri
-          (fun i c -> tx_by_node.(i) <- tx_by_node.(i) + c)
-          r.Slpdas_exp.Sector_runner.broadcasts_by_node;
-        duration := !duration +. r.Slpdas_exp.Sector_runner.duration_seconds)
-      results;
-    Format.printf
-      "sector phantom (walk %d, %d sectors) on %dx%d over %d runs:@.  \
-       capture ratio %.1f%%@."
-      walk_length num_sectors dim dim runs
-      (100.0 *. float_of_int !captures /. float_of_int runs);
-    (match !times with
-    | [] -> ()
-    | ts ->
-      Format.printf "  mean capture time %.1fs@." (Slpdas_util.Stats.mean ts));
-    Format.printf "  mean transmissions per run %d@." (!msgs / max 1 runs);
-    print_energy ~runs topo.Slpdas_wsn.Topology.graph
-      ~broadcasts_by_node:tx_by_node ~duration_seconds:!duration;
-    write_events_json events_json counters
-  in
-  let walk_arg =
-    Arg.(
-      value & opt int 5
-      & info [ "walk" ] ~docv:"W"
-          ~doc:"Sector-directed random-walk length (0 = pure flooding).")
+  let run dim runs walk_length num_sectors =
+    run_phantom
+      ~header:
+        (Printf.sprintf "sector phantom (walk %d, %d sectors)" walk_length
+           num_sectors)
+      ~direction:(Slpdas_core.Phantom.Sectors num_sectors) dim runs walk_length
   in
   let sectors_arg =
     Arg.(
-      value & opt int 8
+      value
+      & opt (int_at_least 1) 8
       & info [ "sectors" ] ~docv:"S"
-          ~doc:"Angular sectors the phantom walk picks from (PSSPR uses 8).")
+          ~doc:
+            "Angular sectors the phantom walk picks from (PSSPR uses 8); at \
+             least 1.")
   in
   Cmd.v
     (Cmd.info "sector"
@@ -484,8 +445,9 @@ let sector_cmd =
          "Run the PSSPR-style sector phantom baseline (related work, third \
           comparison family)")
     Term.(
-      const run $ dim_arg $ runs_arg $ walk_arg $ sectors_arg
-      $ attacker_cls_arg $ domains_arg $ events_json_arg)
+      const run $ dim_arg $ runs_arg
+      $ walk_arg ~doc:"Sector-directed random-walk length (0 = pure flooding)."
+      $ sectors_arg $ attacker_cls_arg $ domains_arg $ events_json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* chaos                                                              *)
@@ -814,9 +776,12 @@ let scale_cmd =
   in
   let cells_arg =
     Arg.(
-      value & opt int 4
+      value
+      & opt (int_at_least 1) 4
       & info [ "cells" ] ~docv:"C"
-          ~doc:"Partition the grid into CxC spatial cells for the sharded run.")
+          ~doc:
+            "Partition the grid into CxC spatial cells for the sharded run; \
+             at least 1.")
   in
   let until_arg =
     Arg.(

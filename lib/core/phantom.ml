@@ -1,11 +1,13 @@
 module Int_set = Set.Make (Int)
 module Int_map = Map.Make (Int)
 
+type direction = Compass | Sectors of int
+
 type config = {
   sink : int;
   source : int;
   walk_length : int;
-  directed : bool;
+  direction : direction;
   positions : (float * float) array;
   source_period : float;
   hop_delay : float;
@@ -18,7 +20,7 @@ let default_config ~topology ~walk_length =
     sink = topology.Slpdas_wsn.Topology.sink;
     source = topology.Slpdas_wsn.Topology.source;
     walk_length;
-    directed = true;
+    direction = Compass;
     positions = topology.Slpdas_wsn.Topology.positions;
     source_period = 5.5;
     hop_delay = 0.02;
@@ -78,8 +80,8 @@ let advances s ~self ~dir v =
   let dx, dy = dir in
   ((x1 -. x0) *. dx) +. ((y1 -. y0) *. dy) > 1e-9
 
-(* Choose the next hop of a walk: in directed mode, prefer neighbours that
-   advance along [dir]; always avoid the immediate predecessor. *)
+(* Choose the next hop of a walk: prefer neighbours that advance along
+   [dir]; always avoid the immediate predecessor. *)
 let choose_next_hop s ~self ~id ~dir =
   let without_prev =
     match Int_map.find_opt id s.walk_from with
@@ -87,9 +89,7 @@ let choose_next_hop s ~self ~id ~dir =
     | None -> s.neighbours
   in
   let preferred =
-    if s.config.directed then
-      Int_set.elements (Int_set.filter (advances s ~self ~dir) without_prev)
-    else Int_set.elements without_prev
+    Int_set.elements (Int_set.filter (advances s ~self ~dir) without_prev)
   in
   let fallback = Int_set.elements without_prev in
   match (preferred, fallback) with
@@ -116,14 +116,52 @@ let continue_walk s ~self ~id ~ttl ~dir =
       )
   end
 
+(* The PSSPR direction policy (Chen et al.): sector index of the sink as
+   seen from [self], the three sectors centred on it excluded, a uniform
+   choice among the rest, and a uniform angle within the chosen sector. *)
+let sector_direction s ~self num =
+  let width = 2.0 *. Float.pi /. Float.of_int num in
+  let x, y = s.config.positions.(self) in
+  let sx, sy = s.config.positions.(s.config.sink) in
+  let sink_angle = atan2 (sy -. y) (sx -. x) in
+  let sink_sector =
+    let i = int_of_float (Float.floor ((sink_angle +. Float.pi) /. width)) in
+    ((i mod num) + num) mod num
+  in
+  let blocked i =
+    num > 3
+    && (i = sink_sector
+       || i = (sink_sector + 1) mod num
+       || i = (sink_sector + num - 1) mod num)
+  in
+  let allowed = ref [] in
+  for i = num - 1 downto 0 do
+    if not (blocked i) then allowed := i :: !allowed
+  done;
+  let sec =
+    match !allowed with
+    | [] -> sink_sector  (* degenerate sector counts: no exclusion *)
+    | xs -> Slpdas_util.Rng.choose s.rng xs
+  in
+  let angle =
+    (Float.of_int sec *. width) -. Float.pi
+    +. Slpdas_util.Rng.float s.rng width
+  in
+  (cos angle, sin angle)
+
 let on_generate ~self s =
   let id = s.next_id in
   let s = { s with next_id = id + 1 } in
   let rearm =
     Slpdas_gcn.Set_timer { timer = gen_timer; after = s.config.source_period }
   in
-  let angle = Slpdas_util.Rng.float s.rng (2.0 *. Float.pi) in
-  let dir = (cos angle, sin angle) in
+  let dir =
+    match s.config.direction with
+    | Compass ->
+      let angle = Slpdas_util.Rng.float s.rng (2.0 *. Float.pi) in
+      (cos angle, sin angle)
+    | Sectors num -> sector_direction s ~self num
+  in
   let s, effects =
     if s.config.walk_length <= 0 then start_flood s id
     else continue_walk s ~self ~id ~ttl:s.config.walk_length ~dir
@@ -163,11 +201,29 @@ let on_timeout ~self:_ s timer =
     end
     else Some (s, [ Slpdas_gcn.Broadcast (Flood { id }) ])
 
+type family = { name : string; node_salt : int; engine_salt : int }
+
+(* Sector walks were a separate protocol before they became a direction
+   policy here, with seed streams of their own.  Each policy keeps its
+   streams so that every run reproduces the one recorded before the fold:
+   the per-node RNG salt below, and the engine-seed salt and scenario name
+   of Phantom_runner. *)
+let family = function
+  | Compass -> { name = "phantom"; node_salt = 0x9e37; engine_salt = 0x7a9 }
+  | Sectors _ ->
+    { name = "sector-phantom"; node_salt = 0x5ec7; engine_salt = 0x5ec_70 }
+
 let program config ~self:_ =
+  (match config.direction with
+  | Sectors num when num < 1 ->
+    invalid_arg
+      (Printf.sprintf "Phantom.program: Sectors %d, need at least 1" num)
+  | Compass | Sectors _ -> ());
+  let node_salt = (family config.direction).node_salt in
   let init ~self =
     let rng =
       Slpdas_util.Rng.create
-        ((config.run_seed * 48_271) lxor (self * 69_621) lxor 0x9e37)
+        ((config.run_seed * 48_271) lxor (self * 69_621) lxor node_salt)
     in
     let s =
       {

@@ -5,17 +5,16 @@
    exporter — cannot simply subscribe to "the" engine.  The recorder here
    reconstructs the exact global bus: each cell's monitor records every
    event together with the stable key of the queue entry being processed
-   when it was emitted (Engine.processing_key), and a final merge sorts by
-   (time, key, cell, arrival) — which is precisely the order the unsharded
-   sequential engine's bus emits, because stable keys are unique per queue
-   event and emissions within one processed event stay in arrival order.
+   when it was emitted (Engine.processing_key), and a final k-way merge of
+   the per-cell buffers by head key yields precisely the order the
+   unsharded sequential engine's bus emits (see [events]).
 
-   Attackers then run as pure folds over the merged stream (Hunter below)
-   instead of live engine subscribers: a live hunter calls Engine.stop and
-   emits Attacker_move into the bus, both of which are global decisions no
-   single cell may take mid-window.  The fold reproduces the live hunter's
-   verdict — once captured it ignores the stream's tail, exactly as the
-   stopped engine never produces one. *)
+   Attackers then run as pure folds over the merged stream
+   (Slpdas_attack.Hunter.fold) instead of live engine subscribers: a live
+   hunter calls Engine.stop and emits Attacker_move into the bus, both of
+   which are global decisions no single cell may take mid-window.  The
+   fold reproduces the live hunter's verdict — once captured it ignores
+   the stream's tail, exactly as the stopped engine never produces one. *)
 
 module Engine = Slpdas_sim.Engine
 module Event = Slpdas_sim.Event
@@ -67,62 +66,39 @@ let tap engine =
       buf_push b { e_time = Event.time event; e_k1 = 0; e_k2 = 0; e_event = event });
   fun () -> Array.init b.len (fun i -> b.items.(i).e_event)
 
+(* Each cell's buffer is in that cell's pop order: the engine pops its
+   heap by (time, k1, k2), and every emission carries the key of the event
+   being processed.  The sequential engine's heap holds the union of the
+   cells' events, so its next pop is the least of the cells' next pops: a
+   k-way merge by head key reproduces its bus.  A global sort would not:
+   an event processed under key K that pushes a zero-delay event under a
+   smaller key pops that event after K, and a sort would move its
+   emissions before K's.  Ties (harness callbacks share the -1 lane across
+   cells) go to the lower cell index, which matches the sequential engine
+   whenever same-time harness emissions are per-cell independent (they are
+   for every workload in this repository: faults emit through the engine's
+   own key, and monitors never emit). *)
 let events t =
-  let total = Array.fold_left (fun acc b -> acc + b.len) 0 t.cells in
-  let keyed = Array.make total (0, 0, { e_time = 0.0; e_k1 = 0; e_k2 = 0; e_event = Event.Phase_transition { time = 0.0; phase = "" } }) in
-  let pos = ref 0 in
-  Array.iteri
-    (fun cell b ->
-      for i = 0 to b.len - 1 do
-        keyed.(!pos) <- (cell, i, b.items.(i));
-        incr pos
-      done)
-    t.cells;
-  (* (time, k1, k2) is unique per processed queue event except for harness
-     callbacks, which share the -1 lane across cells; (cell, arrival) then
-     fixes an order — identical to the sequential engine's whenever
-     same-time harness emissions are per-cell independent (they are for
-     every workload in this repository: faults emit through the engine's
-     own key, and monitors never emit). *)
-  let cmp (c1, i1, a) (c2, i2, b) =
+  let cells = t.cells in
+  let heads = Array.make (Array.length cells) 0 in
+  let head c = cells.(c).items.(heads.(c)) in
+  let earlier a b =
     match Float.compare a.e_time b.e_time with
     | 0 -> (
-      match Int.compare a.e_k1 b.e_k1 with
-      | 0 -> (
-        match Int.compare a.e_k2 b.e_k2 with
-        | 0 -> (
-          match Int.compare c1 c2 with 0 -> Int.compare i1 i2 | c -> c)
-        | c -> c)
-      | c -> c)
-    | c -> c
+      match Int.compare a.e_k1 b.e_k1 with 0 -> a.e_k2 < b.e_k2 | c -> c < 0)
+    | c -> c < 0
   in
-  Array.sort cmp keyed;
-  Array.map (fun (_, _, e) -> e.e_event) keyed
-
-module Hunter = struct
-  type result = {
-    location : int;
-    path : int list;
-    capture_time : float option;
-  }
-
-  (* Pure replay of the adversary zoo over an event stream: the shared
-     per-class step rule of Slpdas_attack.Hunter, with no engine side
-     effects.  The default class reproduces the classic Scenario.Hunter
-     verdict — once captured the fold ignores the stream's tail, exactly
-     as the stopped engine never produces one. *)
-  let fold ?(cls = Slpdas_attack.Model.Local) ?(seed = 0) ?(positions = [||])
-      ~graph ~start ~source ~message_id stream =
-    let v =
-      Slpdas_attack.Hunter.fold cls ~graph ~positions ~start ~source ~seed
-        ~message_id stream
-    in
-    {
-      location = v.Slpdas_attack.Hunter.location;
-      path = v.Slpdas_attack.Hunter.path;
-      capture_time = v.Slpdas_attack.Hunter.capture_time;
-    }
-end
+  let total = Array.fold_left (fun acc b -> acc + b.len) 0 cells in
+  Array.init total (fun _ ->
+      let best = ref (-1) in
+      Array.iteri
+        (fun c b ->
+          if heads.(c) < b.len && (!best < 0 || earlier (head c) (head !best))
+          then best := c)
+        cells;
+      let e = head !best in
+      heads.(!best) <- heads.(!best) + 1;
+      e.e_event)
 
 let capture ?domains ?impl ?(hunter = Slpdas_attack.Model.Local)
     ?(hunter_seed = 0) plan ~link ~seed ~program ~until ~start ~source
@@ -134,6 +110,6 @@ let capture ?domains ?impl ?(hunter = Slpdas_attack.Model.Local)
   in
   let graph = plan.Shard.base.Slpdas_wsn.Topology.graph in
   let positions = plan.Shard.base.Slpdas_wsn.Topology.positions in
-  ( Hunter.fold ~cls:hunter ~seed:hunter_seed ~positions ~graph ~start ~source
-      ~message_id (events t),
+  ( Slpdas_attack.Hunter.fold hunter ~graph ~positions ~start ~source
+      ~seed:hunter_seed ~message_id (events t),
     merged )

@@ -6,16 +6,18 @@
     {!recorder} subscribed through every cell's monitor captures each
     event with the stable key of the queue entry that produced it
     ({!Slpdas_sim.Engine.processing_key}); {!events} then merges the
-    per-cell streams by [(time, key, cell, arrival)], which reproduces the
-    unsharded sequential engine's bus order exactly (stable keys are unique
-    per queue event; emissions within one processed event keep arrival
-    order).  [test_engine_equiv] oracles the stream equality differentially.
+    per-cell streams, each in its cell's pop order, by head key (ties to
+    the lower cell index), which reproduces the unsharded sequential
+    engine's bus order exactly: the sequential heap's next pop is the least
+    of the cells' next pops.  [test_engine_equiv] oracles the stream
+    equality differentially.
 
-    Attackers run as {e pure folds} over the merged stream ({!Hunter})
-    rather than live subscribers: a live hunter stops the engine and emits
-    into the bus — global actions no cell can take mid-window.  The fold
-    ignores everything after its capture point, so its verdict matches the
-    live hunter's on the run the live hunter would have stopped. *)
+    Attackers run as {e pure folds} over the merged stream
+    ({!Slpdas_attack.Hunter.fold}) rather than live subscribers: a live
+    hunter stops the engine and emits into the bus — global actions no
+    cell can take mid-window.  The fold ignores everything after its
+    capture point, so its verdict matches the live hunter's on the run the
+    live hunter would have stopped. *)
 
 type 'm recorder
 
@@ -37,30 +39,6 @@ val tap : ('s, 'm) Slpdas_sim.Engine.t -> unit -> 'm Slpdas_sim.Event.t array
     returns a thunk yielding everything recorded so far in emission order —
     the sequential twin of {!events} for differential checks. *)
 
-(** Pure replay of {!Slpdas_exp.Scenario.Hunter} over an event stream. *)
-module Hunter : sig
-  type result = {
-    location : int;  (** final position *)
-    path : int list;  (** positions occupied, oldest first *)
-    capture_time : float option;
-        (** time the hunter reached [source], if it did *)
-  }
-
-  val fold :
-    ?cls:Slpdas_attack.Model.cls ->
-    ?seed:int ->
-    ?positions:(float * float) array ->
-    graph:Slpdas_wsn.Graph.t ->
-    start:int ->
-    source:int ->
-    message_id:('m -> int option) ->
-    'm Slpdas_sim.Event.t array ->
-    result
-  (** [?cls] selects the adversary class (default the classic local
-      eavesdropper); [?seed] feeds the [Coop] placement and [?positions]
-      the sector-phantom patrol. *)
-end
-
 val capture :
   ?domains:int ->
   ?impl:Slpdas_sim.Engine.impl ->
@@ -75,7 +53,10 @@ val capture :
   source:int ->
   message_id:('m -> int option) ->
   unit ->
-  Hunter.result * Slpdas_sim.Event.counters
-(** Run [plan] coupled with a recording monitor and fold the hunter over
-    the merged stream.  The returned counters are the physics-only merge
-    (the offline hunter emits no [Attacker_move] events). *)
+  Slpdas_attack.Hunter.verdict * Slpdas_sim.Event.counters
+(** Run [plan] coupled with a recording monitor and fold the hunter
+    ({!Slpdas_attack.Hunter.fold}) over the merged stream.  [?hunter]
+    selects the adversary class (default the classic local eavesdropper);
+    [?hunter_seed] feeds the [Coop] placement.  The returned counters are
+    the physics-only merge (the offline hunter emits no [Attacker_move]
+    events). *)

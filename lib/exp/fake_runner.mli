@@ -1,7 +1,7 @@
 (** Discrete-event runs of the fake-source baseline
     ({!Slpdas_core.Fake_source}) with the panda-hunter eavesdropper.
 
-    The attacker ({!Scenario.Hunter}) cannot distinguish fake from real
+    The attacker ({!Slpdas_attack.Hunter}) cannot distinguish fake from real
     traffic: it moves to the sender of the first transmission it hears of
     every message it has not acted on yet, exactly as in {!Phantom_runner}.
     Capture means reaching the {e real} source within the safety period.
@@ -35,7 +35,7 @@ val scenario :
   config ->
   ( Slpdas_core.Fake_source.state,
     Slpdas_core.Fake_source.msg,
-    Scenario.Hunter.t,
+    Slpdas_attack.Hunter.t,
     result )
   Scenario.t
 (** Package a config as a scenario value; the hunter's moves appear as

@@ -1,6 +1,7 @@
 type config = {
   topology : Slpdas_wsn.Topology.t;
   walk_length : int;
+  direction : Slpdas_core.Phantom.direction;
   link : Slpdas_sim.Link_model.t;
   seed : int;
 }
@@ -28,6 +29,7 @@ let scenario ?(hunter = Slpdas_attack.Model.Local) config =
       (Slpdas_core.Phantom.default_config ~topology
          ~walk_length:config.walk_length)
       with
+      direction = config.direction;
       run_seed = config.seed;
     }
   in
@@ -36,14 +38,14 @@ let scenario ?(hunter = Slpdas_attack.Model.Local) config =
       ~delta_ss ()
   in
   let attach engine =
-    Scenario.Hunter.attach ~cls:hunter ~seed:config.seed ~start:sink ~source
+    Slpdas_attack.Hunter.attach hunter ~seed:config.seed ~start:sink ~source
       ~message_id:Slpdas_core.Phantom.message_id engine
   in
   let extract engine hunter =
     let capture_seconds =
       Option.map
         (fun t -> t -. protocol.Slpdas_core.Phantom.start_time)
-        (Scenario.Hunter.capture_time hunter)
+        (Slpdas_attack.Hunter.capture_time hunter)
     in
     let source_state = Slpdas_sim.Engine.node_state engine source in
     let sink_state = Slpdas_sim.Engine.node_state engine sink in
@@ -53,7 +55,7 @@ let scenario ?(hunter = Slpdas_attack.Model.Local) config =
         | Some t -> t <= safety_seconds
         | None -> false);
       capture_seconds;
-      attacker_path = Scenario.Hunter.path hunter;
+      attacker_path = Slpdas_attack.Hunter.path hunter;
       messages_sent = Slpdas_sim.Engine.broadcasts engine;
       broadcasts_by_node = Slpdas_sim.Engine.broadcasts_by_node engine;
       duration_seconds = Slpdas_sim.Engine.time engine;
@@ -63,8 +65,9 @@ let scenario ?(hunter = Slpdas_attack.Model.Local) config =
       delta_ss;
     }
   in
-  Scenario.make ~name:"phantom" ~topology ~link:config.link
-    ~engine_seed:(config.seed lxor 0x7a9)
+  let family = Slpdas_core.Phantom.family config.direction in
+  Scenario.make ~name:family.name ~topology ~link:config.link
+    ~engine_seed:(config.seed lxor family.engine_salt)
     ~program:(Slpdas_core.Phantom.program protocol)
     ~deadline:(protocol.Slpdas_core.Phantom.start_time +. safety_seconds)
     ~attach ~extract ()

@@ -1,7 +1,10 @@
 (** Discrete-event runs of the phantom-routing baseline ({!Slpdas_core.Phantom}),
-    with the classic panda-hunter eavesdropper attached.
+    with the classic panda-hunter eavesdropper attached.  Both direction
+    policies run here: [Compass] (classic phantom routing) and [Sectors n]
+    (PSSPR-style sector phantom routing, the third related-work comparison
+    family next to phantom and fake-source).
 
-    The attacker ({!Scenario.Hunter}) sits at the sink and, for every
+    The attacker ({!Slpdas_attack.Hunter}) sits at the sink and, for every
     {e distinct} message it has not yet acted on, moves to the sender of the
     first transmission of that message it hears — one hop per source
     message, the routing-layer equivalent of the paper's (1, 0, 1)
@@ -16,6 +19,9 @@
 type config = {
   topology : Slpdas_wsn.Topology.t;
   walk_length : int;  (** 0 = protectionless flooding *)
+  direction : Slpdas_core.Phantom.direction;
+      (** walk direction policy; its {!Slpdas_core.Phantom.family} also
+          names the scenario and salts the engine seed *)
   link : Slpdas_sim.Link_model.t;
   seed : int;
 }
@@ -38,7 +44,7 @@ val scenario :
   config ->
   ( Slpdas_core.Phantom.state,
     Slpdas_core.Phantom.msg,
-    Scenario.Hunter.t,
+    Slpdas_attack.Hunter.t,
     result )
   Scenario.t
 (** Package a config as a scenario value; the hunter's moves appear as

@@ -39,22 +39,3 @@ let with_engine_impl impl t = { t with engine_impl = impl }
 
 let map_result f t =
   { t with extract = (fun engine obs -> f (t.extract engine obs)) }
-
-(* The hunter now lives in [Slpdas_attack.Hunter] as one of four adversary
-   classes sharing a single observation interface; this module keeps the
-   historical API as a thin delegate.  The default [?cls] is the paper's
-   local eavesdropper, whose step rule is a bit-identical port of the
-   original inline implementation. *)
-module Hunter = struct
-  type t = Slpdas_attack.Hunter.t
-
-  let attach ?(cls = Slpdas_attack.Model.Local) ?(seed = 0) ~start ~source
-      ~message_id engine =
-    Slpdas_attack.Hunter.attach cls ~start ~source ~seed ~message_id engine
-
-  let location = Slpdas_attack.Hunter.location
-
-  let path = Slpdas_attack.Hunter.path
-
-  let capture_time = Slpdas_attack.Hunter.capture_time
-end

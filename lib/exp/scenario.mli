@@ -91,38 +91,3 @@ val with_engine_impl :
 val map_result : ('r -> 'q) -> ('s, 'm, 'obs, 'r) t -> ('s, 'm, 'obs, 'q) t
 (** Post-compose the extractor — e.g. project a full result down to the
     fields a sweep aggregates. *)
-
-(** The mobile "panda-hunter" eavesdropper shared by the routing-layer
-    baselines, as a thin delegate to the adversary zoo
-    ({!Slpdas_attack.Hunter}).  The default class is the paper's single
-    local eavesdropper, bit-identical to the original inline hunter: one
-    move per distinct message, to the sender of the first transmission of
-    that message it hears (it hears its own node and its 1-hop
-    neighbours).  Stops the engine on reaching the source and emits
-    {!Slpdas_sim.Event.Attacker_move} for every move.  The MAC-layer DAS
-    scenarios use the richer {!Slpdas_core.Attacker} model instead. *)
-module Hunter : sig
-  type t = Slpdas_attack.Hunter.t
-
-  val attach :
-    ?cls:Slpdas_attack.Model.cls ->
-    ?seed:int ->
-    start:int ->
-    source:int ->
-    message_id:('m -> int option) ->
-    ('s, 'm) Slpdas_sim.Engine.t ->
-    t
-  (** Subscribe the hunter on the engine's event bus.  [message_id]
-      identifies distinct protocol messages; transmissions without an id
-      (setup chatter) are ignored.  [?cls] selects the adversary class
-      (default [Local]); [?seed] feeds only the seed-deterministic [Coop]
-      placement. *)
-
-  val location : t -> int
-
-  val path : t -> int list
-  (** Positions occupied, oldest first (starts with [start]). *)
-
-  val capture_time : t -> float option
-  (** Absolute simulation time at which the hunter reached the source. *)
-end

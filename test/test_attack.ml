@@ -31,7 +31,6 @@ module Hunter = Slpdas_attack.Hunter
 module Mc_verify = Slpdas_attack.Mc_verify
 module Coupled = Slpdas_exp.Coupled
 module Phantom_runner = Slpdas_exp.Phantom_runner
-module Sector_runner = Slpdas_exp.Sector_runner
 module Service = Slpdas_serve.Service
 module Batch = Slpdas_serve.Batch
 module Resilience = Slpdas_fault.Resilience
@@ -273,7 +272,13 @@ let prop_runner_domain_invariance =
       let configs =
         List.map
           (fun (i, link) ->
-            { Phantom_runner.topology; walk_length = 2; link; seed = seed + i })
+            {
+              Phantom_runner.topology;
+              walk_length = 2;
+              direction = Slpdas_core.Phantom.Compass;
+              link;
+              seed = seed + i;
+            })
           [ (0, Link_model.Ideal); (1, Link_model.Lossy 0.2) ]
       in
       let r1 = Phantom_runner.run_many ~domains:1 ~hunter:cls configs in
@@ -688,23 +693,23 @@ let test_sector_runner () =
   let topology = Topology.grid 5 in
   let config =
     {
-      Sector_runner.topology;
+      Phantom_runner.topology;
       walk_length = 3;
-      num_sectors = 8;
+      direction = Slpdas_core.Phantom.Sectors 8;
       link = Link_model.Ideal;
       seed = 11;
     }
   in
-  let r = Sector_runner.run config in
-  Alcotest.(check bool) "captured <-> capture_seconds" r.Sector_runner.captured
-    (r.Sector_runner.capture_seconds <> None);
-  Alcotest.(check bool) "messages flowed" true (r.Sector_runner.messages_sent > 0);
-  Alcotest.(check bool) "source spoke" true (r.Sector_runner.source_messages > 0);
-  Alcotest.(check bool) "deterministic" true (Sector_runner.run config = r);
+  let r = Phantom_runner.run config in
+  Alcotest.(check bool) "captured <-> capture_seconds" r.Phantom_runner.captured
+    (r.Phantom_runner.capture_seconds <> None);
+  Alcotest.(check bool) "messages flowed" true (r.Phantom_runner.messages_sent > 0);
+  Alcotest.(check bool) "source spoke" true (r.Phantom_runner.source_messages > 0);
+  Alcotest.(check bool) "deterministic" true (Phantom_runner.run config = r);
   (* The runner honours the adversary registry like its siblings. *)
-  let g = Sector_runner.run ~hunter:Model.Global config in
+  let g = Phantom_runner.run ~hunter:Model.Global config in
   Alcotest.(check bool) "global hunter runs" true
-    (g.Sector_runner.duration_seconds > 0.)
+    (g.Phantom_runner.duration_seconds > 0.)
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in

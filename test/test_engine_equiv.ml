@@ -122,7 +122,15 @@ let test_phantom_family () =
     (fun (name, link) ->
       List.iter
         (fun walk_length ->
-          let cfg = { Phantom_runner.topology; walk_length; link; seed = 3 } in
+          let cfg =
+            {
+              Phantom_runner.topology;
+              walk_length;
+              direction = Slpdas_core.Phantom.Compass;
+              link;
+              seed = 3;
+            }
+          in
           let (fast_r, fast_c), (ref_r, ref_c) =
             both (Phantom_runner.scenario cfg)
           in
@@ -739,7 +747,7 @@ let test_coupled_event_stream () =
     links
 
 (* The pure hunter fold over a coupled run's merged stream must reach the
-   same verdict as the live Scenario.Hunter subscribed on the sequential
+   same verdict as the live Slpdas_attack.Hunter subscribed on the sequential
    twin (which stops the engine at capture — the fold instead ignores the
    stream's tail). *)
 let test_coupled_hunter () =
@@ -754,25 +762,28 @@ let test_coupled_hunter () =
         Shard.sequential_engine ~impl:Engine.Fast ~topology ~link ~seed:42
           ~program:wave_program ()
       in
-      let live = Scenario.Hunter.attach ~start ~source ~message_id twin in
+      let live =
+        Slpdas_attack.Hunter.attach Slpdas_attack.Model.Local ~start ~source
+          ~seed:0 ~message_id twin
+      in
       Engine.run_until twin 14.0;
       let folded, _ =
         Coupled.capture ~domains:2 plan ~link ~seed:42 ~program:wave_program
           ~until:14.0 ~start ~source ~message_id ()
       in
       Alcotest.(check int) (lname ^ ": hunter location")
-        (Scenario.Hunter.location live)
-        folded.Coupled.Hunter.location;
+        (Slpdas_attack.Hunter.location live)
+        folded.Slpdas_attack.Hunter.location;
       Alcotest.(check (list int)) (lname ^ ": hunter path")
-        (Scenario.Hunter.path live) folded.Coupled.Hunter.path;
+        (Slpdas_attack.Hunter.path live) folded.Slpdas_attack.Hunter.path;
       Alcotest.(check (option (float 0.0)))
         (lname ^ ": capture time")
-        (Scenario.Hunter.capture_time live)
-        folded.Coupled.Hunter.capture_time;
+        (Slpdas_attack.Hunter.capture_time live)
+        folded.Slpdas_attack.Hunter.capture_time;
       (* The wave floods from the source every second, so the hunter must
          actually converge — guard against a vacuous pass. *)
       Alcotest.(check bool) (lname ^ ": hunter captures") true
-        (folded.Coupled.Hunter.capture_time <> None))
+        (folded.Slpdas_attack.Hunter.capture_time <> None))
     links
 
 (* A monitor that stops one cell ends the coupled run at the barrier of the
@@ -1039,18 +1050,17 @@ let test_batch_wave () =
 (* Zero-delay timers land at their delivery's timestamp, under keys that
    can fall between two recipients of one batch: the batch must split.  A
    forwarder keyed below its sender fires its timer before the sender's
-   next recipient, out of key order, which Coupled.events' sort by
-   (time, key) cannot reproduce for singleton cells either; the per-cell
-   keyed buses carry the order instead. *)
+   next recipient, out of key order; Coupled.events merges the per-cell
+   streams by head key, which keeps that order. *)
 let test_batch_zero_timer () =
-  check_batched_vs_singleton ~merged:false ~program:zero_wave_program
+  check_batched_vs_singleton ~merged:true ~program:zero_wave_program
     ~until:6.0 "33x33/zero-timer"
 
 let test_batch_faults () =
   let plan = Shard.plan ~cells_x:2 ~cells_y:2 (grid33 ()) in
   check_batched_vs_singleton
     ~faults:(coupled_fault_times ~bnode:(first_boundary_node plan))
-    ~merged:false ~program:zero_wave_program ~until:8.0 "33x33/faults"
+    ~merged:true ~program:zero_wave_program ~until:8.0 "33x33/faults"
 
 (* A stop between two recipients of a batch leaves the rest queued, as
    the singleton events would be: the Fast (batched) twin and the

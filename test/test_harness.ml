@@ -27,8 +27,19 @@ let das_configs =
 let phantom_configs =
   List.map
     (fun seed ->
-      { Phantom_runner.topology = topo; walk_length = 4; link = Link_model.Ideal; seed })
+      {
+        Phantom_runner.topology = topo;
+        walk_length = 4;
+        direction = Slpdas_core.Phantom.Compass;
+        link = Link_model.Ideal;
+        seed;
+      })
     [ 1; 2; 3; 4 ]
+
+let sector_configs =
+  List.map
+    (fun c -> { c with Phantom_runner.direction = Slpdas_core.Phantom.Sectors 8 })
+    phantom_configs
 
 let fake_configs =
   List.map
@@ -54,6 +65,11 @@ let test_das_run_many_matches_sequential () =
 let test_phantom_run_many_matches_sequential () =
   let sequential = List.map (fun c -> Phantom_runner.run c) phantom_configs in
   let fanned = Phantom_runner.run_many ~domains:3 phantom_configs in
+  Alcotest.(check bool) "identical per-seed results" true (sequential = fanned)
+
+let test_sector_run_many_matches_sequential () =
+  let sequential = List.map (fun c -> Phantom_runner.run c) sector_configs in
+  let fanned = Phantom_runner.run_many ~domains:3 sector_configs in
   Alcotest.(check bool) "identical per-seed results" true (sequential = fanned)
 
 let test_fake_run_many_matches_sequential () =
@@ -159,6 +175,8 @@ let () =
             test_das_run_many_matches_sequential;
           Alcotest.test_case "phantom run_many = map run" `Quick
             test_phantom_run_many_matches_sequential;
+          Alcotest.test_case "sector phantom run_many = map run" `Quick
+            test_sector_run_many_matches_sequential;
           Alcotest.test_case "fake run_many = map run" `Quick
             test_fake_run_many_matches_sequential;
         ] );

@@ -173,7 +173,13 @@ let test_all_protocols_deliver () =
   Alcotest.(check bool) "DAS delivers" true (das.Runner.delivery_ratio > 0.7);
   let phantom =
     Slpdas_exp.Phantom_runner.run
-      { topology = topo; walk_length = 4; link = Link_model.Ideal; seed = 21 }
+      {
+        topology = topo;
+        walk_length = 4;
+        direction = Slpdas_core.Phantom.Compass;
+        link = Link_model.Ideal;
+        seed = 21;
+      }
   in
   Alcotest.(check bool) "phantom delivers" true
     (phantom.Slpdas_exp.Phantom_runner.delivered

@@ -83,7 +83,13 @@ let test_runner_flood_always_captures () =
   for seed = 0 to 4 do
     let r =
       Phantom_runner.run
-        { topology = topo; walk_length = 0; link = Link_model.Ideal; seed }
+        {
+          topology = topo;
+          walk_length = 0;
+          direction = Phantom.Compass;
+          link = Link_model.Ideal;
+          seed;
+        }
     in
     Alcotest.(check bool) (Printf.sprintf "seed %d captured" seed) true r.captured;
     Alcotest.(check int) "attacker path ends at source" topo.Topology.source
@@ -97,7 +103,14 @@ let test_runner_walk_delays_capture () =
     let times = ref [] in
     for seed = 0 to 9 do
       let r =
-        Phantom_runner.run { topology = topo; walk_length; link = Link_model.Ideal; seed }
+        Phantom_runner.run
+          {
+            topology = topo;
+            walk_length;
+            direction = Phantom.Compass;
+            link = Link_model.Ideal;
+            seed;
+          }
       in
       match r.capture_seconds with
       | Some t -> times := t :: !times
@@ -113,7 +126,14 @@ let test_runner_walk_delays_capture () =
 let test_runner_deterministic () =
   let topo = Topology.grid 7 in
   let run () =
-    Phantom_runner.run { topology = topo; walk_length = 5; link = Link_model.Ideal; seed = 9 }
+    Phantom_runner.run
+      {
+        topology = topo;
+        walk_length = 5;
+        direction = Phantom.Compass;
+        link = Link_model.Ideal;
+        seed = 9;
+      }
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "captured equal" a.Phantom_runner.captured b.Phantom_runner.captured;
@@ -126,7 +146,14 @@ let test_runner_attacker_walk_valid () =
   let topo = Topology.grid 7 in
   let g = topo.Topology.graph in
   let r =
-    Phantom_runner.run { topology = topo; walk_length = 3; link = Link_model.Ideal; seed = 4 }
+    Phantom_runner.run
+      {
+        topology = topo;
+        walk_length = 3;
+        direction = Phantom.Compass;
+        link = Link_model.Ideal;
+        seed = 4;
+      }
   in
   Alcotest.(check int) "starts at sink" topo.Topology.sink (List.hd r.attacker_path);
   let rec ok = function
@@ -138,7 +165,14 @@ let test_runner_attacker_walk_valid () =
 let test_runner_delivery_accounting () =
   let topo = Topology.grid 7 in
   let r =
-    Phantom_runner.run { topology = topo; walk_length = 0; link = Link_model.Ideal; seed = 2 }
+    Phantom_runner.run
+      {
+        topology = topo;
+        walk_length = 0;
+        direction = Phantom.Compass;
+        link = Link_model.Ideal;
+        seed = 2;
+      }
   in
   Alcotest.(check bool) "source sent messages" true (r.source_messages > 0);
   Alcotest.(check bool) "deliveries bounded by sends" true
@@ -296,6 +330,42 @@ let test_energy_of_des_run () =
   Alcotest.(check bool) "hotspot below total" true
     (report.Slpdas_exp.Energy.max_node_joules < report.Slpdas_exp.Energy.total_joules)
 
+(* ------------------------------------------------------------------ *)
+(* Parent-pinned runs of both direction policies (phantom_oracle.ml)  *)
+(* ------------------------------------------------------------------ *)
+
+let test_oracle_matches () =
+  Alcotest.(check int) "one recorded digest per case"
+    (List.length Phantom_oracle.cases)
+    (List.length Phantom_digests.table);
+  List.iter
+    (fun c ->
+      let name = Phantom_oracle.name c in
+      match List.assoc_opt name Phantom_digests.table with
+      | None -> Alcotest.failf "no recorded digest for %s" name
+      | Some (want : Phantom_oracle.observation) ->
+        let got = Phantom_oracle.observe c in
+        Alcotest.(check bool) (name ^ ": captured") want.captured got.captured;
+        Alcotest.(check int) (name ^ ": transmissions") want.messages_sent
+          got.messages_sent;
+        Alcotest.(check string) (name ^ ": digest") want.digest got.digest)
+    Phantom_oracle.cases
+
+let test_zero_sectors_rejected () =
+  let topo = Topology.grid 5 in
+  List.iter
+    (fun n ->
+      let config =
+        {
+          (Phantom.default_config ~topology:topo ~walk_length:3) with
+          direction = Phantom.Sectors n;
+        }
+      in
+      match Phantom.program config ~self:0 with
+      | _ -> Alcotest.failf "Sectors %d accepted" n
+      | exception Invalid_argument _ -> ())
+    [ 0; -2 ]
+
 let () =
   Alcotest.run "phantom"
     [
@@ -316,6 +386,12 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_runner_deterministic;
           Alcotest.test_case "attacker walk valid" `Quick test_runner_attacker_walk_valid;
           Alcotest.test_case "delivery accounting" `Quick test_runner_delivery_accounting;
+        ] );
+      ( "phantom-oracle",
+        [
+          Alcotest.test_case "runs match the parent" `Quick test_oracle_matches;
+          Alcotest.test_case "Sectors n < 1 rejected" `Quick
+            test_zero_sectors_rejected;
         ] );
       ( "fake-sources",
         [

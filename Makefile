@@ -198,8 +198,10 @@ des-smoke:
 # print exactly the text in test/cli_golden, recorded before the compass
 # and sector walks became direction policies of one protocol, at
 # --domains 1 and 2.  An out-of-range --sectors, --rate, --runs,
-# --domains, --cells or --walk must be a usage error naming the flag
-# (Cmdliner exit 124), never an uncaught exception (exit 125) or a run.
+# --domains, --cells or --walk — and chaos --crashes/--detect-after, scale
+# --until, tune --budget/--restarts/--max-evals, simulate --trace — must
+# be a usage error naming the flag (Cmdliner exit 124), never an uncaught
+# exception (exit 125) or a run.
 related-smoke:
 	for cmd in phantom sector fake; do \
 	  for d in 1 2; do \
@@ -214,7 +216,10 @@ related-smoke:
 	  'phantom --runs=0|--runs' 'fake --runs=0|--runs' 'sector --runs=0|--runs' \
 	  'experiment --runs=0|--runs' 'phantom --domains=-1|--domains' \
 	  'scale --cells=0|--cells' 'phantom --walk=-1|--walk' \
-	  'sector --walk=-1|--walk'; do \
+	  'sector --walk=-1|--walk' 'chaos --crashes=-1|--crashes' \
+	  'chaos --detect-after=-1|--detect-after' 'scale --until=-1|--until' \
+	  'tune --budget=-1|--budget' 'tune --restarts=-1|--restarts' \
+	  'tune --max-evals=0|--max-evals' 'simulate --trace=-1|--trace'; do \
 	  status=0; dune exec bin/slp_das_cli.exe -- $${case%%|*} \
 	    > /dev/null 2> _build/related_bad.err || status=$$?; \
 	  { test $$status -ne 0 && test $$status -ne 125 \

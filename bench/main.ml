@@ -1523,7 +1523,9 @@ let engine_bench () =
    with Sys_error _ -> ());
   try
     let oc = open_out (Filename.concat results_dir "BENCH_engine.json") in
-    output_string oc "{\n  \"unit\": \"seconds, best of 5\",\n  \"scenarios\": [\n";
+    output_string oc "{\n  \"unit\": \"seconds, best of 5\",\n";
+    Printf.fprintf oc "  \"host_cores\": %d,\n  \"scenarios\": [\n"
+      (Slpdas_util.Pool.recommended ());
     List.iteri
       (fun i (name, reference, fast) ->
         Printf.fprintf oc

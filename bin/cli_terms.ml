@@ -28,6 +28,15 @@ let positive_float =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
+(* A float at or above zero: durations and budgets. *)
+let non_negative_float =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.float s) (fun v ->
+        if v >= 0.0 then Ok v
+        else Error (`Msg (Printf.sprintf "must be >= 0, got %g" v)))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let dim_arg =
   let doc = "Grid dimension (the paper uses 11, 15 and 21); at least 2." in
   Arg.(value & opt (int_at_least 2) 11 & info [ "d"; "dim" ] ~docv:"DIM" ~doc)

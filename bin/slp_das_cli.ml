@@ -279,9 +279,10 @@ let simulate_cmd =
   in
   let trace_arg =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_at_least 0) 0
       & info [ "trace" ] ~docv:"N"
-          ~doc:"Print the first N radio transmissions of the run.")
+          ~doc:"Print the first N radio transmissions of the run; at least 0.")
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"One full discrete-event run")
@@ -513,15 +514,20 @@ let chaos_cmd =
   in
   let detect_arg =
     let doc =
-      "Failure-detection latency in seconds (default: one dissemination \
-       period)."
+      "Failure-detection latency in seconds, at least 0 (default: one \
+       dissemination period)."
     in
     Arg.(
-      value & opt (some float) None & info [ "detect-after" ] ~docv:"SECS" ~doc)
+      value
+      & opt (some non_negative_float) None
+      & info [ "detect-after" ] ~docv:"SECS" ~doc)
   in
   let crashes_arg =
-    let doc = "Crash count for the default plan (ignored with --fault-plan)." in
-    Arg.(value & opt int 3 & info [ "crashes" ] ~docv:"K" ~doc)
+    let doc =
+      "Crash count for the default plan, at least 0 (ignored with \
+       --fault-plan)."
+    in
+    Arg.(value & opt (int_at_least 0) 3 & info [ "crashes" ] ~docv:"K" ~doc)
   in
   let resilience_json_arg =
     let doc = "Write the aggregated resilience counters as JSON to FILE." in
@@ -785,9 +791,10 @@ let scale_cmd =
   in
   let until_arg =
     Arg.(
-      value & opt float 3.0
+      value
+      & opt non_negative_float 3.0
       & info [ "until" ] ~docv:"SECS"
-          ~doc:"Simulated seconds for the sharded engine run.")
+          ~doc:"Simulated seconds for the sharded engine run; at least 0.")
   in
   let couple_arg =
     Arg.(
@@ -1169,20 +1176,24 @@ let tune_cmd =
   in
   let budget_arg =
     Arg.(
-      value & opt float 0.05
+      value
+      & opt non_negative_float 0.05
       & info [ "budget" ] ~docv:"JOULES"
-          ~doc:"Refinement energy budget in Joules.")
+          ~doc:"Refinement energy budget in Joules; at least 0.")
   in
   let restarts_arg =
     Arg.(
-      value & opt int 2
-      & info [ "restarts" ] ~docv:"N" ~doc:"Seeded hill-climb restarts.")
+      value
+      & opt (int_at_least 0) 2
+      & info [ "restarts" ] ~docv:"N"
+          ~doc:"Seeded hill-climb restarts; at least 0.")
   in
   let max_evals_arg =
     Arg.(
-      value & opt int 40
+      value
+      & opt (int_at_least 1) 40
       & info [ "max-evals" ] ~docv:"N"
-          ~doc:"Distinct (SD, CL) points to evaluate at most.")
+          ~doc:"Distinct (SD, CL) points to evaluate at most; at least 1.")
   in
   Cmd.v
     (Cmd.info "tune"

@@ -99,22 +99,24 @@ let with_clock now f a b =
     raise e
 
 module Instance = struct
+  (* The program's handlers are copied into an array at boot: a trigger
+     then reaches each handler closure through the instance alone, not
+     through the program record, a list cell and an action record. *)
   type ('s, 'm) t = {
-    program : ('s, 'm) program;
+    handlers :
+      (self:int -> 's -> 'm trigger -> ('s * 'm effect_ list) option) array;
+    spontaneous : ('s, 'm) spontaneous list;
     self : int;
     mutable state : 's;
-    mutable fired : string list;
   }
 
   let self t = t.self
 
   let state t = t.state
 
-  let fired t = t.fired
-
   (* Run spontaneous actions to fixpoint, returning effects in order. *)
   let settle t =
-    match t.program.spontaneous with
+    match t.spontaneous with
     | [] -> []
     | spontaneous ->
       let effects = ref [] in
@@ -126,7 +128,6 @@ module Instance = struct
         | Some s ->
           let state', effs = s.scommand ~self:t.self t.state in
           t.state <- state';
-          t.fired <- s.sname :: t.fired;
           effects := !effects @ [ effs ];
           loop (fuel - 1)
       in
@@ -135,25 +136,31 @@ module Instance = struct
 
   let boot program self =
     let state, boot_effects = program.init ~self in
-    let t = { program; self; state; fired = [ "init" ] } in
+    let t =
+      {
+        handlers =
+          Array.of_list (List.map (fun a -> a.handler) program.actions);
+        spontaneous = program.spontaneous;
+        self;
+        state;
+      }
+    in
     let settle_effects = settle t in
     (t, boot_effects @ settle_effects)
 
   let create program ~self ~now = with_clock now boot program self
 
-  let rec try_actions t trigger = function
-    | [] -> []
-    | action :: rest ->
-      begin match action.handler ~self:t.self t.state trigger with
-      | None -> try_actions t trigger rest
+  let rec try_actions t trigger i =
+    if i >= Array.length t.handlers then []
+    else
+      match (Array.unsafe_get t.handlers i) ~self:t.self t.state trigger with
+      | None -> try_actions t trigger (i + 1)
       | Some (state', effects) ->
         t.state <- state';
-        t.fired <- action.name :: t.fired;
         effects
-      end
 
   let run_actions t trigger =
-    let action_effects = try_actions t trigger t.program.actions in
+    let action_effects = try_actions t trigger 0 in
     match settle t with
     | [] -> action_effects
     | settle_effects -> action_effects @ settle_effects

@@ -114,7 +114,10 @@ exception Divergent of string
 (** Raised when spontaneous actions fail to reach fixpoint within the fuel
     bound — a bug in the hosted protocol. *)
 
-(** A running instance of a program at one node. *)
+(** A running instance of a program at one node.  An instance keeps its
+    state only, not the §III-A event trace ("event ⟨name⟩ has occurred"):
+    a host that wants the trace wraps each action's [handler] and
+    [scommand] to record its name. *)
 module Instance : sig
   type ('s, 'm) t
 
@@ -135,8 +138,4 @@ module Instance : sig
       effects in emission order; {!now} reads [now] meanwhile.  A trigger
       no action is enabled for is silently dropped, like a message arriving
       in a state that ignores it. *)
-
-  val fired : ('s, 'm) t -> string list
-  (** Names of all actions fired so far, most recent first: the event trace
-      of §III-A ("event ⟨name⟩ has occurred"). *)
 end

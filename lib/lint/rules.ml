@@ -21,7 +21,6 @@ let in_bench path = under "bench" path
 let hot_path path =
   under "lib/sim" path
   || String.equal path "lib/core/verifier.ml"
-  || String.equal path "lib/util/heap.ml"
   || String.equal path "lib/util/pool.ml"
 
 let all =
@@ -82,8 +81,8 @@ let all =
       summary =
         "polymorphic =/<> (or <, >, <=, >=) against a tuple, record, \
          constructor or list on the hot path (lib/sim, lib/core/verifier.ml, \
-         lib/util/heap.ml, lib/util/pool.ml): each comparison is a \
-         caml_compare call; match on the structure or use a typed equal";
+         lib/util/pool.ml): each comparison is a caml_compare call; match \
+         on the structure or use a typed equal";
       tier = Both;
       applies = hot_path;
     };

@@ -45,38 +45,28 @@ type 'm coupling = {
   send : at:float -> src:int -> sseq:int -> target:int -> msg:'m -> unit;
 }
 
-type ('s, 'm) event_kind =
+(* One transmission's payload, shared by every arrival of it: the
+   observable sender id, the message, and the [Receive] trigger the
+   recipients are handed, built once per transmission. *)
+type 'm arrival = { sender : int; msg : 'm; rx : 'm Slpdas_gcn.trigger }
+
+type ('s, 'm) event =
   | Timer_fire of { node : int; timer : Slpdas_gcn.Timer.t; generation : int }
-  | Deliver of { node : int; sender : int; msg : 'm }
+  | Deliver of { node : int; arrival : 'm arrival }
       (* Reference impl: one event per (broadcast × delivered neighbour). *)
   | Deliver_batch of {
-      sender : int;
+      arrival : 'm arrival;
       recipients : int array;
       keys : int array;
-      msg : 'm;
     }
       (* Fast impl: one event per broadcast; [propagation_delay] is a
          constant, so all of a broadcast's arrivals share one timestamp and
          expand at pop time in adjacency order — the order the reference
          impl pushes (and therefore pops) its singleton events in.  Under
          coupling, [keys] holds each recipient's stable k2 (the batch event
-         itself carries the first); uncoupled batches leave it empty. *)
+         itself is queued under the first); uncoupled batches leave it
+         empty. *)
   | Callback of (('s, 'm) t -> unit)
-
-and ('s, 'm) event = {
-  at : float;
-  seq : int;
-  (* Stable content-based ordering key, used instead of [seq] as the
-     same-time tiebreaker when the engine is coupled: [k1] is the global id
-     of the node whose processing pushed the event (-1 for harness pushes),
-     [k2] that node's own monotone push counter.  The key depends only on
-     *what* pushed the event, never on the global push schedule, so a
-     coupled cell and the unsharded sequential engine order the same events
-     identically.  Uncoupled engines leave both at 0 and order by [seq]. *)
-  k1 : int;
-  k2 : int;
-  kind : ('s, 'm) event_kind;
-}
 
 and ('s, 'm) t = {
   topology : Slpdas_wsn.Topology.t;
@@ -99,7 +89,15 @@ and ('s, 'm) t = {
   program : self:int -> ('s, 'm) Slpdas_gcn.program;
       (* kept so [revive_node] can boot a fresh instance for a crashed node *)
   instances : ('s, 'm) Slpdas_gcn.Instance.t array;
-  queue : ('s, 'm) event Slpdas_util.Heap.t;
+  queue : ('s, 'm) event Event_queue.t;
+      (* Keyed (at, k1, k2).  Uncoupled engines push (0, push sequence
+         number), i.e. same-time events pop in push order.  Coupled engines
+         push a stable content-based key instead: [k1] is the global id of
+         the node whose processing pushed the event (-1 for harness
+         pushes), [k2] that node's own monotone push counter.  It depends
+         only on *what* pushed the event, never on the global push
+         schedule, so a coupled cell and the unsharded sequential engine
+         order the same events identically.  Every key is distinct. *)
   timer_generations : (int * string, int) Hashtbl.t;  (* Reference *)
   (* Fast: timer generations as one flat int array of n × [gen_stride]
      slots, gens.((node * gen_stride) + Timer.id) — a single allocation
@@ -120,6 +118,8 @@ and ('s, 'm) t = {
   scratch_keys : int array;  (* coupled batches: the recipients' k2 keys *)
   mutable now : float;
   mutable next_seq : int;
+      (* push counter of the shared key lane: every push of an uncoupled
+         engine (k1 = 0), the harness pushes of a coupled one (k1 = -1) *)
   subscribers : ('m Event.t -> unit) Queue.t;
   tally : Event.tally;
   broadcast_by_node : int array;
@@ -137,7 +137,6 @@ and ('s, 'm) t = {
          local link cache, so cut-edge verdicts are bit-identical to the
          unsharded engine's. *)
   sseq : int array;  (* coupled: per-local-node push counters (the k2 lane) *)
-  mutable harness_sseq : int;  (* coupled: push counter of the -1 lane *)
   mutable cur_src : int;
       (* local id of the node whose effects are being applied; -1 when the
          harness (schedule/callback) is pushing *)
@@ -145,32 +144,18 @@ and ('s, 'm) t = {
   mutable cur_k2 : int;
 }
 
-let compare_events a b =
-  match Float.compare a.at b.at with 0 -> Int.compare a.seq b.seq | c -> c
-
-(* Coupled ordering: (at, k1, k2) is schedule-independent and unique per
-   event ((k1, k2) alone never repeats), so the [seq] fallback is a pure
-   safety net for totality. *)
-let compare_events_stable a b =
-  match Float.compare a.at b.at with
-  | 0 -> (
-    match Int.compare a.k1 b.k1 with
-    | 0 -> (
-      match Int.compare a.k2 b.k2 with 0 -> Int.compare a.seq b.seq | c -> c)
-    | c -> c)
-  | c -> c
-
 (* Observable node identity: a coupled engine reports global ids on the
    event bus while indexing instances/state by local id. *)
 let gid t v = match t.coupling with None -> v | Some c -> c.global_ids.(v)
+
+let arrival ~sender msg =
+  { sender; msg; rx = Slpdas_gcn.Receive { sender; msg } }
 
 let time t = t.now
 
 let topology t = t.topology
 
 let node_state t v = Slpdas_gcn.Instance.state t.instances.(v)
-
-let node_fired t v = Slpdas_gcn.Instance.fired t.instances.(v)
 
 (* A Queue keeps registration O(1) while preserving registration order. *)
 let subscribe t f = Queue.add f t.subscribers
@@ -208,7 +193,7 @@ let node_failed t v =
 
 let clamp_unit p = if p < 0.0 then 0.0 else if p > 1.0 then 1.0 else p
 
-let link_key u v = if u <= v then (u, v) else (v, u)
+let link_key (u : int) v = if u <= v then (u, v) else (v, u)
 
 let set_link_loss t ~a ~b loss =
   let n = Array.length t.failed in
@@ -249,34 +234,24 @@ let fault_dropped t rng u v =
   | None -> false)
   || (t.global_loss > 0.0 && Slpdas_util.Rng.bernoulli rng t.global_loss)
 
-let push t ~at kind =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let k1, k2 =
-    match t.coupling with
-    | None -> (0, 0)
-    | Some c ->
-      let src = t.cur_src in
-      if src >= 0 then begin
-        let s = t.sseq.(src) in
-        t.sseq.(src) <- s + 1;
-        (c.global_ids.(src), s)
-      end
-      else begin
-        let s = t.harness_sseq in
-        t.harness_sseq <- s + 1;
-        (-1, s)
-      end
-  in
-  Slpdas_util.Heap.push t.queue { at; seq; k1; k2; kind }
-
-(* Push with an explicit stable key: a boundary delivery carries the key its
-   sender's cell assigned, which is the key the unsharded engine would have
-   assigned to the same push. *)
-let push_keyed t ~at ~k1 ~k2 kind =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  Slpdas_util.Heap.push t.queue { at; seq; k1; k2; kind }
+let push t ~at event =
+  match t.coupling with
+  | None ->
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    Event_queue.push t.queue ~at ~k1:0 ~k2:seq event
+  | Some c ->
+    let src = t.cur_src in
+    if src >= 0 then begin
+      let s = t.sseq.(src) in
+      t.sseq.(src) <- s + 1;
+      Event_queue.push t.queue ~at ~k1:c.global_ids.(src) ~k2:s event
+    end
+    else begin
+      let s = t.next_seq in
+      t.next_seq <- s + 1;
+      Event_queue.push t.queue ~at ~k1:(-1) ~k2:s event
+    end
 
 let schedule t ~at f =
   if at < t.now then invalid_arg "Engine.schedule: time is in the past";
@@ -399,17 +374,19 @@ let record_broadcast t node =
           aud_prune t v ~horizon)
         t.neighbours.(node))
 
-(* A reception at [node] of a transmission sent at [tx_time] is jammed when
-   any other audible transmission overlaps it (half-duplex: the receiver's
-   own transmissions jam too).  The fast path scans only the transmissions
-   audible at [node] and early-exits on the first overlap; entries the
-   reference path would already have pruned from its global log are at least
+(* A reception at [node] arriving now, i.e. of a transmission sent at
+   [tx_time = now - propagation_delay], is jammed when any other audible
+   transmission overlaps it (half-duplex: the receiver's own transmissions
+   jam too).  The fast path scans only the transmissions audible at [node]
+   and early-exits on the first overlap; entries the reference path would
+   already have pruned from its global log are at least
    [airtime + 3·propagation_delay] older than any [tx_time] checked after
    them, so a lazily-pruned per-node queue never flips a verdict. *)
-let jammed t ~node ~sender ~tx_time =
+let jammed t ~node ~sender =
   match t.airtime with
   | None -> false
   | Some airtime -> (
+    let tx_time = t.now -. propagation_delay in
     match t.impl with
     | Reference ->
       let graph = t.topology.Slpdas_wsn.Topology.graph in
@@ -434,124 +411,122 @@ let jammed t ~node ~sender ~tx_time =
       in
       scan 0)
 
+(* Fast base verdict for [node]'s [i]-th local neighbour from the link
+   cache: at most one draw from [rng] and one compare. *)
+let[@inline] cached_delivered t rng node i =
+  match t.link_cache with
+  | Always_delivered -> true
+  | Never_delivered -> false
+  | Bernoulli_loss p -> not (Slpdas_util.Rng.bernoulli rng p)
+  | Gaussian_rx { noise_mean; noise_std; snr_threshold; off; rx_power } ->
+    let noise = Slpdas_util.Rng.gaussian rng ~mean:noise_mean ~std:noise_std in
+    Array.unsafe_get rx_power (Array.unsafe_get off node + i) -. noise
+    >= snr_threshold
+
+(* A link-level drop of [sender]'s transmission at [node] (both observable
+   ids), counted at broadcast time. *)
+let drop_link t ~node ~sender =
+  Event.count_drop t.tally ~collision:false ~time:t.now;
+  if listening t then
+    notify t (Event.Drop { time = t.now; node; sender; collision = false })
+
 let rec apply_effects t node effects =
-  (* Every push below is attributed to [node]'s key lane; restored on exit
-     so harness callbacks resume pushing on the -1 lane. *)
-  let prev_src = t.cur_src in
-  t.cur_src <- node;
-  List.iter
-    (fun effect_ ->
-      match (effect_ : 'm Slpdas_gcn.effect_) with
-      | Slpdas_gcn.Broadcast msg -> (
-        Event.count_broadcast t.tally ~time:t.now;
-        t.broadcast_by_node.(node) <- t.broadcast_by_node.(node) + 1;
-        record_broadcast t node;
-        if listening t then
-          notify t (Event.Broadcast { time = t.now; sender = gid t node; msg });
-        let faults = faults_active t in
-        match t.coupling with
-        | Some c -> coupled_broadcast t c node msg ~faults
-        | None -> (
-        match t.impl with
-        | Reference ->
-          Array.iter
-            (fun v ->
-              if
-                Link_model.delivered t.link t.rng
-                  ~distance_m:(distance t node v)
-                && not (faults && fault_dropped t t.rng node v)
-              then
-                push t
-                  ~at:(t.now +. propagation_delay)
-                  (Deliver { node = v; sender = node; msg })
-              else begin
-                Event.count_drop t.tally ~collision:false ~time:t.now;
-                if listening t then
-                  notify t
-                    (Event.Drop
-                       { time = t.now; node = v; sender = node; collision = false })
-              end)
-            (Slpdas_wsn.Graph.neighbours t.topology.Slpdas_wsn.Topology.graph
-               node)
-        | Fast ->
-          (* RNG draws happen here, eagerly, in adjacency order — exactly
-             the reference draw sequence — and drops are counted at
-             broadcast time like the reference path.  Only the delivery
-             *arrivals* are deferred; above the batch cutover as one batch
-             event, below it as singleton events pushed in the reference's
-             own order (so small runs skip the batch-expansion overhead). *)
-          let nbrs = t.neighbours.(node) in
-          let deg = Array.length nbrs in
-          let batch = t.batch_deliveries in
-          let scratch = t.scratch in
-          let count = ref 0 in
-          let drop v =
-            Event.count_drop t.tally ~collision:false ~time:t.now;
-            if listening t then
-              notify t
-                (Event.Drop
-                   { time = t.now; node = v; sender = node; collision = false })
-          in
-          (* [keep] runs the fault layer after the base verdict, mirroring
-             the reference path's [&&] exactly (same conditional draws, same
-             adjacency order). *)
-          let keep v =
-            if faults && fault_dropped t t.rng node v then drop v
-            else if batch then begin
-              Array.unsafe_set scratch !count v;
-              incr count
-            end
-            else
+  match effects with
+  | [] -> ()
+  | _ :: _ ->
+    (* Every push below is attributed to [node]'s key lane; restored on
+       exit so harness callbacks resume pushing on the -1 lane. *)
+    let prev_src = t.cur_src in
+    t.cur_src <- node;
+    apply_list t node effects;
+    t.cur_src <- prev_src
+
+and apply_list t node = function
+  | [] -> ()
+  | effect_ :: rest ->
+    apply_effect t node effect_;
+    apply_list t node rest
+
+and apply_effect t node (effect_ : 'm Slpdas_gcn.effect_) =
+  match effect_ with
+  | Slpdas_gcn.Broadcast msg -> (
+    Event.count_broadcast t.tally ~time:t.now;
+    t.broadcast_by_node.(node) <- t.broadcast_by_node.(node) + 1;
+    record_broadcast t node;
+    if listening t then
+      notify t (Event.Broadcast { time = t.now; sender = gid t node; msg });
+    let faults = faults_active t in
+    match t.coupling with
+    | Some c -> coupled_broadcast t c node msg ~faults
+    | None -> (
+      let a = arrival ~sender:node msg in
+      match t.impl with
+      | Reference ->
+        Array.iter
+          (fun v ->
+            if
+              Link_model.delivered t.link t.rng ~distance_m:(distance t node v)
+              && not (faults && fault_dropped t t.rng node v)
+            then
               push t
                 ~at:(t.now +. propagation_delay)
-                (Deliver { node = v; sender = node; msg })
-          in
-          (match t.link_cache with
-          | Always_delivered when not faults && batch ->
-            Array.blit nbrs 0 scratch 0 deg;
-            count := deg
-          | Always_delivered -> Array.iter keep nbrs
-          | Never_delivered -> Array.iter drop nbrs
-          | Bernoulli_loss p ->
-            for i = 0 to deg - 1 do
-              let v = Array.unsafe_get nbrs i in
-              if not (Slpdas_util.Rng.bernoulli t.rng p) then keep v
-              else drop v
-            done
-          | Gaussian_rx { noise_mean; noise_std; snr_threshold; off; rx_power }
-            ->
-            let base = Array.unsafe_get off node in
-            for i = 0 to deg - 1 do
-              let v = Array.unsafe_get nbrs i in
-              let noise =
-                Slpdas_util.Rng.gaussian t.rng ~mean:noise_mean ~std:noise_std
-              in
-              if Array.unsafe_get rx_power (base + i) -. noise >= snr_threshold
-              then keep v
-              else drop v
-            done);
-          if batch && !count > 0 then
-            push t
-              ~at:(t.now +. propagation_delay)
-              (Deliver_batch
-                 {
-                   sender = node;
-                   recipients = Array.sub scratch 0 !count;
-                   keys = [||];
-                   msg;
-                 })))
-      | Slpdas_gcn.Set_timer { timer; after } ->
-        let generation = bump_timer_generation t node timer in
-        push t ~at:(t.now +. after) (Timer_fire { node; timer; generation })
-      | Slpdas_gcn.Set_timer_at { timer; at } ->
-        if at < t.now then
-          invalid_arg "Engine: Set_timer_at before the current time";
-        let generation = bump_timer_generation t node timer in
-        push t ~at (Timer_fire { node; timer; generation })
-      | Slpdas_gcn.Stop_timer timer ->
-        ignore (bump_timer_generation t node timer))
-    effects;
-  t.cur_src <- prev_src
+                (Deliver { node = v; arrival = a })
+            else drop_link t ~node:v ~sender:node)
+          (Slpdas_wsn.Graph.neighbours t.topology.Slpdas_wsn.Topology.graph
+             node)
+      | Fast -> fast_broadcast t node a ~faults))
+  | Slpdas_gcn.Set_timer { timer; after } ->
+    let generation = bump_timer_generation t node timer in
+    push t ~at:(t.now +. after) (Timer_fire { node; timer; generation })
+  | Slpdas_gcn.Set_timer_at { timer; at } ->
+    if at < t.now then
+      invalid_arg "Engine: Set_timer_at before the current time";
+    let generation = bump_timer_generation t node timer in
+    push t ~at (Timer_fire { node; timer; generation })
+  | Slpdas_gcn.Stop_timer timer -> ignore (bump_timer_generation t node timer)
+
+(* Uncoupled Fast fan-out.  RNG draws happen here, eagerly, in adjacency
+   order — exactly the reference draw sequence — and drops are counted at
+   broadcast time like the reference path.  Only the delivery *arrivals*
+   are deferred; above the batch cutover as one batch event, below it as
+   singleton events pushed in the reference's own order (so small runs skip
+   the batch-expansion overhead). *)
+and fast_broadcast t node a ~faults =
+  let nbrs = t.neighbours.(node) in
+  let deg = Array.length nbrs in
+  let batch = t.batch_deliveries in
+  let count = ref 0 in
+  (match t.link_cache with
+  | Always_delivered when (not faults) && batch ->
+    Array.blit nbrs 0 t.scratch 0 deg;
+    count := deg
+  | _ ->
+    for i = 0 to deg - 1 do
+      let v = Array.unsafe_get nbrs i in
+      (* The fault layer runs after the base verdict, mirroring the
+         reference path's [&&] (same conditional draws, same order). *)
+      if
+        (not (cached_delivered t t.rng node i))
+        || (faults && fault_dropped t t.rng node v)
+      then drop_link t ~node:v ~sender:node
+      else if batch then begin
+        Array.unsafe_set t.scratch !count v;
+        incr count
+      end
+      else
+        push t
+          ~at:(t.now +. propagation_delay)
+          (Deliver { node = v; arrival = a })
+    done);
+  if batch && !count > 0 then
+    push t
+      ~at:(t.now +. propagation_delay)
+      (Deliver_batch
+         {
+           arrival = a;
+           recipients = Array.sub t.scratch 0 !count;
+           keys = [||];
+         })
 
 (* Coupled broadcast: walk the sender's local neighbours and boundary ports
    merged back into global-adjacency-row order ([ports_pos] marks the slots
@@ -573,12 +548,7 @@ and coupled_broadcast t c node msg ~faults =
   let total = Array.length nbrs + (p_hi - p_lo) in
   let at = t.now +. propagation_delay in
   let x1, y1 = t.topology.Slpdas_wsn.Topology.positions.(node) in
-  let drop gv =
-    Event.count_drop t.tally ~collision:false ~time:t.now;
-    if listening t then
-      notify t
-        (Event.Drop { time = t.now; node = gv; sender = gnode; collision = false })
-  in
+  let a = arrival ~sender:gnode msg in
   let li = ref 0 and pi = ref p_lo in
   for pos = 0 to total - 1 do
     if !pi < p_hi && Array.unsafe_get c.ports_pos !pi = pos then begin
@@ -605,7 +575,7 @@ and coupled_broadcast t c node msg ~faults =
             in
             Array.unsafe_get t.port_rx i -. noise >= snr_threshold)
       in
-      if not delivered then drop target
+      if not delivered then drop_link t ~node:target ~sender:gnode
       else if
         (* Cut-edge link overrides are unsupported (Shard validates before a
            coupled run); only the network-wide loss floor applies, drawn
@@ -614,7 +584,7 @@ and coupled_broadcast t c node msg ~faults =
         faults
         && t.global_loss > 0.0
         && Slpdas_util.Rng.bernoulli lane t.global_loss
-      then drop target
+      then drop_link t ~node:target ~sender:gnode
       else begin
         (* The counter bump keeps this node's k2 numbering aligned with the
            unsharded engine, where this delivery is a local push. *)
@@ -631,21 +601,10 @@ and coupled_broadcast t c node msg ~faults =
         match t.impl with
         | Reference ->
           Link_model.delivered t.link lane ~distance_m:(distance t node v)
-        | Fast -> (
-          match t.link_cache with
-          | Always_delivered -> true
-          | Never_delivered -> false
-          | Bernoulli_loss p -> not (Slpdas_util.Rng.bernoulli lane p)
-          | Gaussian_rx { noise_mean; noise_std; snr_threshold; off; rx_power }
-            ->
-            let noise =
-              Slpdas_util.Rng.gaussian lane ~mean:noise_mean ~std:noise_std
-            in
-            Array.unsafe_get rx_power (Array.unsafe_get off node + l) -. noise
-            >= snr_threshold)
+        | Fast -> cached_delivered t lane node l
       in
-      if not delivered then drop c.global_ids.(v)
-      else if faults && fault_dropped t lane node v then drop c.global_ids.(v)
+      if (not delivered) || (faults && fault_dropped t lane node v) then
+        drop_link t ~node:c.global_ids.(v) ~sender:gnode
       else if batch then begin
         (* Same counter bump [push] would make for a singleton. *)
         let s = t.sseq.(node) in
@@ -654,17 +613,16 @@ and coupled_broadcast t c node msg ~faults =
         Array.unsafe_set t.scratch_keys !count s;
         incr count
       end
-      else push t ~at (Deliver { node = v; sender = gnode; msg })
+      else push t ~at (Deliver { node = v; arrival = a })
     end
   done;
   if !count > 0 then
-    push_keyed t ~at ~k1:gnode ~k2:t.scratch_keys.(0)
+    Event_queue.push t.queue ~at ~k1:gnode ~k2:t.scratch_keys.(0)
       (Deliver_batch
          {
-           sender = gnode;
+           arrival = a;
            recipients = Array.sub t.scratch 0 !count;
            keys = Array.sub t.scratch_keys 0 !count;
-           msg;
          })
 
 and inject t ~node trigger =
@@ -787,12 +745,7 @@ let create ?(impl = Fast) ?(batch_cutover = default_batch_cutover) ?airtime
       invalid_arg "Engine.create: coupling.lanes must cover every node";
     if Array.length c.ports_off <> n + 1 then
       invalid_arg "Engine.create: coupling.ports_off must have n + 1 offsets");
-  let cmp =
-    match coupling with
-    | None -> compare_events
-    | Some _ -> compare_events_stable
-  in
-  let queue = Slpdas_util.Heap.create ~cmp in
+  let queue = Event_queue.create () in
   let self_of v =
     match coupling with None -> v | Some c -> c.global_ids.(v)
   in
@@ -888,7 +841,6 @@ let create ?(impl = Fast) ?(batch_cutover = default_batch_cutover) ?airtime
       coupling;
       port_rx;
       sseq = (match coupling with Some _ -> Array.make n 0 | None -> [||]);
-      harness_sseq = 0;
       cur_src = -1;
       cur_k1 = -1;
       cur_k2 = -1;
@@ -907,10 +859,11 @@ let create ?(impl = Fast) ?(batch_cutover = default_batch_cutover) ?airtime
   t.cur_k2 <- -1;
   t
 
-(* [sender] is already an observable id: global ids are stored in [Deliver]
-   events at push time under coupling, local (= global) ids otherwise. *)
-let deliver_one t ~node ~sender ~tx_time msg =
-  if jammed t ~node ~sender ~tx_time then begin
+(* [a.sender] is already an observable id: global ids are stored in
+   arrivals at push time under coupling, local (= global) ids otherwise. *)
+let deliver_one t ~node a =
+  let sender = a.sender in
+  if jammed t ~node ~sender then begin
     Event.count_drop t.tally ~collision:true ~time:t.now;
     if listening t then
       notify t
@@ -920,15 +873,20 @@ let deliver_one t ~node ~sender ~tx_time msg =
   else begin
     Event.count_delivery t.tally ~time:t.now;
     if listening t then
-      notify t (Event.Delivery { time = t.now; node = gid t node; sender; msg });
-    inject t ~node (Slpdas_gcn.Receive { sender; msg })
+      notify t
+        (Event.Delivery
+           { time = t.now; node = gid t node; sender; msg = a.msg });
+    inject t ~node a.rx
   end
 
-let rec process t event =
-  t.now <- event.at;
-  t.cur_k1 <- event.k1;
-  t.cur_k2 <- event.k2;
-  match event.kind with
+(* Pop the minimum event, whose time [at] the caller has just read, and
+   process it under its key. *)
+let rec pop_process t at =
+  let q = t.queue in
+  t.now <- at;
+  t.cur_k1 <- Event_queue.min_k1 q;
+  t.cur_k2 <- Event_queue.min_k2 q;
+  match Event_queue.pop q with
   | Timer_fire { node; timer; generation } ->
     (* Stale fires (superseded by a later Set/Stop_timer) are dropped
        silently: they never reach the node, so they are not events. *)
@@ -944,21 +902,19 @@ let rec process t event =
              });
       inject t ~node (Slpdas_gcn.Timeout timer)
     end
-  | Deliver { node; sender; msg } ->
-    deliver_one t ~node ~sender ~tx_time:(t.now -. propagation_delay) msg
-  | Deliver_batch { sender; recipients; keys = [||]; msg } ->
+  | Deliver { node; arrival } -> deliver_one t ~node arrival
+  | Deliver_batch { arrival; recipients; keys = [||] } ->
     (* Expand in push (= adjacency) order.  [halted] is re-checked between
        recipients because the reference impl's singleton events would stop
        being popped as soon as a subscriber called [stop]. *)
-    let tx_time = t.now -. propagation_delay in
     let k = Array.length recipients in
     let i = ref 0 in
     while (not t.halted) && !i < k do
-      deliver_one t ~node:recipients.(!i) ~sender ~tx_time msg;
+      deliver_one t ~node:recipients.(!i) arrival;
       incr i
     done
-  | Deliver_batch { sender; recipients; keys; msg } ->
-    expand_keyed t ~at:event.at ~k1:event.k1 ~sender ~recipients ~keys msg
+  | Deliver_batch { arrival; recipients; keys } ->
+    expand_keyed t arrival ~recipients ~keys
   | Callback f -> f t
 
 (* Coupled batch expansion.  The singleton events this batch replaces would
@@ -967,84 +923,72 @@ let rec process t event =
    range) key belongs to this batch.  Only an event pushed while the batch
    expands can cut in — a zero-delay timer or a harness [schedule ~at:now]
    keyed below the next recipient.  So before each recipient after the
-   first, peek the heap; if it holds such an event (or the engine halted,
+   first, peek the queue; if it holds such an event (or the engine halted,
    which leaves the singletons queued), re-queue the rest of the batch
    under the next recipient's key and stop.  [cur_k2] follows the
    recipients so [processing_key] reads what the singletons gave. *)
-and expand_keyed t ~at ~k1 ~sender ~recipients ~keys msg =
-  let tx_time = at -. propagation_delay in
+and expand_keyed t arrival ~recipients ~keys =
+  let at = t.now and k1 = t.cur_k1 in
   let k = Array.length recipients in
-  let cuts_in k2 =
-    match Slpdas_util.Heap.peek t.queue with
-    | None -> false
-    | Some e -> (
-      match Float.compare e.at at with
-      | 0 -> (match Int.compare e.k1 k1 with 0 -> e.k2 < k2 | c -> c < 0)
-      | c -> c < 0)
-  in
-  let rec go i =
-    if i < k then begin
-      let k2 = keys.(i) in
-      if i > 0 && (t.halted || cuts_in k2) then
-        push_keyed t ~at ~k1 ~k2
-          (Deliver_batch
-             {
-               sender;
-               recipients = Array.sub recipients i (k - i);
-               keys = Array.sub keys i (k - i);
-               msg;
-             })
-      else begin
-        t.cur_k2 <- k2;
-        deliver_one t ~node:recipients.(i) ~sender ~tx_time msg;
-        go (i + 1)
-      end
+  let i = ref 0 in
+  while !i < k do
+    let k2 = keys.(!i) in
+    if !i > 0 && (t.halted || Event_queue.min_before t.queue ~at ~k1 ~k2)
+    then begin
+      Event_queue.push t.queue ~at ~k1 ~k2
+        (Deliver_batch
+           {
+             arrival;
+             recipients = Array.sub recipients !i (k - !i);
+             keys = Array.sub keys !i (k - !i);
+           });
+      i := k
     end
-  in
-  go 0
+    else begin
+      t.cur_k2 <- k2;
+      deliver_one t ~node:recipients.(!i) arrival;
+      incr i
+    end
+  done
 
 let step t =
-  match Slpdas_util.Heap.pop t.queue with
-  | None -> false
-  | Some event ->
-    process t event;
+  if Event_queue.is_empty t.queue then false
+  else begin
+    pop_process t (Event_queue.min_at t.queue);
     true
+  end
 
-let run_until t deadline =
-  let rec loop () =
-    if t.halted then ()
-    else begin
-      match Slpdas_util.Heap.peek t.queue with
-      | Some event when event.at <= deadline ->
-        ignore (Slpdas_util.Heap.pop t.queue);
-        process t event;
-        loop ()
-      | Some _ | None -> t.now <- max t.now deadline
+let rec run_until t deadline =
+  let q = t.queue in
+  if t.halted then ()
+  else if Event_queue.is_empty q then t.now <- max t.now deadline
+  else begin
+    let at = Event_queue.min_at q in
+    if at <= deadline then begin
+      pop_process t at;
+      run_until t deadline
     end
-  in
-  loop ()
+    else t.now <- max t.now deadline
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Conservative-window driving surface (coupled sharding)             *)
 (* ------------------------------------------------------------------ *)
 
 let next_event_time t =
-  match Slpdas_util.Heap.peek t.queue with
-  | Some event -> Some event.at
-  | None -> None
+  if Event_queue.is_empty t.queue then None
+  else Some (Event_queue.min_at t.queue)
 
-let run_window t ~stop_before ~deadline =
-  let rec loop () =
-    if t.halted then ()
-    else
-      match Slpdas_util.Heap.peek t.queue with
-      | Some event when event.at < stop_before && event.at <= deadline ->
-        ignore (Slpdas_util.Heap.pop t.queue);
-        process t event;
-        loop ()
-      | Some _ | None -> ()
-  in
-  loop ()
+let rec run_window t ~stop_before ~deadline =
+  let q = t.queue in
+  if t.halted || Event_queue.is_empty q then ()
+  else begin
+    let at = Event_queue.min_at q in
+    if at < stop_before && at <= deadline then begin
+      pop_process t at;
+      run_window t ~stop_before ~deadline
+    end
+  end
 
 let advance_to t time = if not t.halted then t.now <- max t.now time
 
@@ -1054,6 +998,9 @@ let ingest_delivery t ~at ~src ~sseq ~node ~msg =
   | Some _ -> ());
   if node < 0 || node >= Array.length t.failed then
     invalid_arg "Engine.ingest_delivery: node out of range";
-  push_keyed t ~at ~k1:src ~k2:sseq (Deliver { node; sender = src; msg })
+  (* The key its sender's cell assigned: the key the unsharded engine
+     assigns to the same push. *)
+  Event_queue.push t.queue ~at ~k1:src ~k2:sseq
+    (Deliver { node; arrival = arrival ~sender:src msg })
 
 let processing_key t = (t.cur_k1, t.cur_k2)

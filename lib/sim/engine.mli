@@ -9,8 +9,12 @@
     {!schedule} and {!inject}; harness-level occurrences (attacker moves,
     phase transitions) can be published onto the same bus through {!emit}.
 
-    Events are ordered by [(time, sequence number)], so runs are totally
-    deterministic given the topology, the programs and the link-model RNG.
+    Events are ordered by one key [(time, k1, k2)]: an uncoupled engine
+    pushes [(time, 0, sequence number)], i.e. same-time events run in push
+    order, so runs are totally deterministic given the topology, the
+    programs and the link-model RNG.  (A coupled engine keys by content
+    instead, see [coupling] at {!create}.)  The engine keeps no per-node
+    record of fired actions; observers that want one wrap the program.
     Subscribing observers never perturbs the run: notifications are
     synchronous and queue nothing.
 
@@ -143,9 +147,6 @@ val topology : ('s, 'm) t -> Slpdas_wsn.Topology.t
 val node_state : ('s, 'm) t -> int -> 's
 (** Observe a node's current protocol state. *)
 
-val node_fired : ('s, 'm) t -> int -> string list
-(** Action-name trace of a node, most recent first. *)
-
 val subscribe : ('s, 'm) t -> ('m Event.t -> unit) -> unit
 (** Register an observer on the event bus, invoked synchronously (in
     registration order) for every {!Event.t} the run produces: broadcasts,
@@ -277,7 +278,7 @@ val ingest_delivery :
     delivery produced by a neighbouring cell's [send] hook: a [Deliver]
     event at absolute time [at] for {e local} node [node] from {e global}
     sender [src], keyed [(src, sseq)] — the stable key the unsharded engine
-    assigned to the same push, so the destination heap interleaves it
+    assigned to the same push, so the destination queue interleaves it
     exactly where the sequential run would.
     @raise Invalid_argument on an uncoupled engine or if [node] is out of
     range. *)
@@ -285,7 +286,8 @@ val ingest_delivery :
 val processing_key : ('s, 'm) t -> int * int
 (** Stable key [(k1, k2)] of the event currently being processed — during
     boot, [(global id, -1)] of the booting node; [(-1, _)] under harness
-    callbacks.  Observers use it to merge per-cell event streams into the
-    sequential emission order: sorting buffered emissions by
-    [(time, k1, k2, buffer position)] reproduces the unsharded engine's
-    order for all node-sourced events. *)
+    callbacks of a coupled engine.  An uncoupled engine reports
+    [(0, push sequence number)] outside boot.  Observers use it to merge
+    per-cell event streams into the sequential emission order: sorting
+    buffered emissions by [(time, k1, k2, buffer position)] reproduces the
+    unsharded engine's order for all node-sourced events. *)

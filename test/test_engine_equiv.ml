@@ -240,16 +240,24 @@ let wave_program ~self = wave_program_if ~flood:(fun v -> v = 0) ~self
 let zero_wave_program ~self =
   wave_program_gen ~zero:true ~flood:(fun v -> v = 0) ~self
 
-let run_wave ~impl ?batch_cutover ?airtime link =
+(* A grid-6 wave engine whose nodes record their action traces. *)
+let wave_engine ~impl ?batch_cutover ?airtime ?(seed = 42) link =
   let topology = Topology.grid 6 in
+  let trace = Fired_trace.create (Graph.n topology.Topology.graph) in
   let e =
     Engine.create ~impl ?batch_cutover ?airtime ~topology ~link
-      ~rng:(Rng.create 42) ~program:wave_program ()
+      ~rng:(Rng.create seed)
+      ~program:(Fired_trace.node_program trace wave_program)
+      ()
   in
-  Engine.run_until e 8.0;
-  e
+  (e, trace)
 
-let check_engines label a b =
+let run_wave ~impl ?batch_cutover ?airtime link =
+  let ((e, _) as run) = wave_engine ~impl ?batch_cutover ?airtime link in
+  Engine.run_until e 8.0;
+  run
+
+let check_engines label (a, a_trace) (b, b_trace) =
   let n = Graph.n (Engine.topology a).Topology.graph in
   check_counters label (Engine.counters a) (Engine.counters b);
   Alcotest.(check (array int)) (label ^ ": broadcasts by node")
@@ -261,7 +269,7 @@ let check_engines label a b =
       (Engine.node_state a v) (Engine.node_state b v);
     Alcotest.(check (list string))
       (Printf.sprintf "%s: fired trace of node %d" label v)
-      (Engine.node_fired a v) (Engine.node_fired b v)
+      (Fired_trace.get a_trace v) (Fired_trace.get b_trace v)
   done
 
 let test_engine_states () =
@@ -295,11 +303,7 @@ let test_engine_states_airtime () =
    counters and the fault-layer's extra randomness draws, which are made
    per neighbour in adjacency order in both engines. *)
 let run_wave_faulted ~impl ?batch_cutover link =
-  let topology = Topology.grid 6 in
-  let e =
-    Engine.create ~impl ?batch_cutover ~topology ~link ~rng:(Rng.create 42)
-      ~program:wave_program ()
-  in
+  let ((e, _) as run) = wave_engine ~impl ?batch_cutover link in
   Engine.schedule e ~at:2.5 (fun e -> Engine.fail_node e 7);
   Engine.schedule e ~at:3.0 (fun e -> Engine.set_link_loss e ~a:0 ~b:1 0.6);
   Engine.schedule e ~at:3.5 (fun e -> Engine.fail_node e 14);
@@ -308,7 +312,7 @@ let run_wave_faulted ~impl ?batch_cutover link =
   Engine.schedule e ~at:6.0 (fun e -> Engine.set_global_loss e 0.0);
   Engine.schedule e ~at:6.5 (fun e -> Engine.set_link_loss e ~a:0 ~b:1 0.0);
   Engine.run_until e 8.0;
-  e
+  run
 
 let test_fault_equivalence () =
   List.iter
@@ -348,10 +352,8 @@ let test_das_with_crashes () =
    fast engine re-checks the halt flag between batched recipients. *)
 let test_stop_equivalence () =
   let run ?batch_cutover impl =
-    let topology = Topology.grid 6 in
-    let e =
-      Engine.create ~impl ?batch_cutover ~topology ~link:(Link_model.Lossy 0.2)
-        ~rng:(Rng.create 9) ~program:wave_program ()
+    let ((e, _) as run) =
+      wave_engine ~impl ?batch_cutover ~seed:9 (Link_model.Lossy 0.2)
     in
     let seen = ref 0 in
     Engine.subscribe e (fun ev ->
@@ -361,7 +363,7 @@ let test_stop_equivalence () =
           if !seen = 40 then Engine.stop e
         | _ -> ());
     Engine.run_until e 100.0;
-    e
+    run
   in
   check_engines "stop@40" (run Engine.Reference) (run Engine.Fast);
   check_engines "stop@40+batch" (run Engine.Reference)
@@ -497,14 +499,19 @@ type global_obs = {
 
 let seq_obs ~impl ?(program = wave_program) ?(arm = fun _ -> ()) ~topology
     ~link ~until () =
-  let e = Shard.sequential_engine ~impl ~topology ~link ~seed:42 ~program () in
+  let n = Graph.n topology.Topology.graph in
+  let trace = Fired_trace.create n in
+  let e =
+    Shard.sequential_engine ~impl ~topology ~link ~seed:42
+      ~program:(Fired_trace.node_program trace program)
+      ()
+  in
   arm e;
   Engine.run_until e until;
-  let n = Graph.n topology.Topology.graph in
   {
     o_counters = Engine.counters e;
     o_states = Array.init n (Engine.node_state e);
-    o_fired = Array.init n (Engine.node_fired e);
+    o_fired = Array.init n (Fired_trace.get trace);
     o_bbn = Engine.broadcasts_by_node e;
   }
 
@@ -514,7 +521,7 @@ let coupled_obs ~impl ?(program = wave_program) ?(domains = 1)
   let plan = Shard.plan ~cells_x ~cells_y topology in
   let n = Graph.n topology.Topology.graph in
   let states = Array.make n (0, 0) in
-  let fired = Array.make n [] in
+  let fired = Fired_trace.create n in
   let bbn = Array.make n 0 in
   let _, merged =
     Shard.run_coupled ~domains ~impl ?monitor
@@ -524,10 +531,11 @@ let coupled_obs ~impl ?(program = wave_program) ?(domains = 1)
         Array.iteri
           (fun i v ->
             states.(v) <- Engine.node_state e i;
-            fired.(v) <- Engine.node_fired e i;
             bbn.(v) <- local_bbn.(i))
           cell.Shard.nodes)
-      plan ~link ~seed:42 ~program ~until
+      plan ~link ~seed:42
+      ~program:(Fired_trace.node_program fired program)
+      ~until
   in
   { o_counters = merged; o_states = states; o_fired = fired; o_bbn = bbn }
 

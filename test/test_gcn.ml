@@ -98,14 +98,20 @@ let test_spontaneous_fires_once () =
   let effects2 = Gcn.Instance.deliver inst ~now:0.0 (Gcn.Timeout t_timer) in
   Alcotest.(check int) "only rearm" 1 (List.length effects2)
 
+(* The event trace of §III-A, recorded by a wrapping program: init, then
+   each fired action — spontaneous ones included — most recent first. *)
 let test_fired_trace () =
-  let inst, _ = Gcn.Instance.create counter_program ~self:0 ~now:0.0 in
+  let trace = Fired_trace.create 1 in
+  let inst, _ =
+    Gcn.Instance.create (Fired_trace.program trace counter_program) ~self:0
+      ~now:0.0
+  in
   ignore (Gcn.Instance.deliver inst ~now:0.0 (Gcn.Timeout t_timer));
   ignore
     (Gcn.Instance.deliver inst ~now:0.0 (Gcn.Receive { sender = 1; msg = 12 }));
   Alcotest.(check (list string)) "event trace (most recent first)"
     [ "sat"; "recv"; "tick"; "init" ]
-    (Gcn.Instance.fired inst)
+    (Fired_trace.get trace 0)
 
 let test_first_enabled_action_wins () =
   (* Two actions both match the same timeout; declaration order decides. *)
@@ -224,12 +230,15 @@ let test_spontaneous_chain () =
   let program =
     { Gcn.init = (fun ~self:_ -> ((0, false), [])); actions = [ bump ]; spontaneous = [ a; b ] }
   in
-  let inst, _ = Gcn.Instance.create program ~self:0 ~now:0.0 in
+  let trace = Fired_trace.create 1 in
+  let inst, _ =
+    Gcn.Instance.create (Fired_trace.program trace program) ~self:0 ~now:0.0
+  in
   let effects = Gcn.Instance.deliver inst ~now:0.0 (Gcn.Timeout go_timer) in
   Alcotest.(check int) "both spontaneous effects" 2 (List.length effects);
   Alcotest.(check (list string)) "order a then b"
     [ "b"; "a"; "bump"; "init" ]
-    (Gcn.Instance.fired inst)
+    (Fired_trace.get trace 0)
 
 let test_self_passed_to_handlers () =
   let program =

@@ -43,10 +43,10 @@ let flood_program ~self =
   ignore self;
   { Gcn.init; actions = [ go; forward ]; spontaneous = [] }
 
-let make_engine ?impl ?(link = Link_model.Ideal) ?(dim = 5) () =
+let make_engine ?impl ?(link = Link_model.Ideal) ?(dim = 5)
+    ?(program = flood_program) () =
   let topology = Topology.grid dim in
-  Engine.create ?impl ~topology ~link ~rng:(Rng.create 1)
-    ~program:flood_program ()
+  Engine.create ?impl ~topology ~link ~rng:(Rng.create 1) ~program ()
 
 (* ------------------------------------------------------------------ *)
 (* Engine basics                                                      *)
@@ -144,14 +144,40 @@ let test_step_granularity () =
   Alcotest.(check bool) "finite event count" true (steps > 0);
   Alcotest.(check bool) "queue exhausted" false (Engine.step e)
 
+(* An uncoupled engine orders same-time events by push order: the queue key
+   is (time, 0, push sequence number), whatever pushed the event. *)
+let test_same_time_push_order ~impl () =
+  let e = make_engine ~impl ~dim:3 () in
+  let log = ref [] in
+  let note name e = log := (name, Engine.time e) :: !log in
+  Engine.schedule e ~at:2.0 (note "a");
+  Engine.schedule e ~at:1.0 (note "b");
+  Engine.schedule e ~at:2.0 (note "c");
+  Engine.schedule e ~at:1.0 (fun e ->
+      note "cb" e;
+      Engine.schedule e ~at:1.0 (note "e");
+      Engine.schedule e ~at:2.0 (note "f"));
+  Engine.schedule e ~at:1.0 (note "d");
+  Engine.run_until e 3.0;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "time first, then push order"
+    [ ("b", 1.0); ("cb", 1.0); ("d", 1.0); ("e", 1.0); ("a", 2.0); ("c", 2.0);
+      ("f", 2.0) ]
+    (List.rev !log)
+
 let test_node_fired_trace () =
-  let e = make_engine ~dim:3 () in
+  let trace = Fired_trace.create 9 in
+  let e =
+    make_engine ~dim:3
+      ~program:(Fired_trace.node_program trace flood_program)
+      ()
+  in
   Engine.run_until e 10.0;
-  (match Engine.node_fired e 0 with
+  (match Fired_trace.get trace 0 with
   | "go" :: _ -> ()
   | trace ->
     Alcotest.failf "unexpected trace for node 0: %s" (String.concat "," trace));
-  match List.rev (Engine.node_fired e 4) with
+  match List.rev (Fired_trace.get trace 4) with
   | "init" :: "forward" :: _ -> ()
   | trace ->
     Alcotest.failf "unexpected trace for node 4: %s" (String.concat "," trace)
@@ -773,6 +799,10 @@ let () =
           Alcotest.test_case "inject" `Quick test_inject_trigger;
           Alcotest.test_case "step" `Quick test_step_granularity;
           Alcotest.test_case "fired traces" `Quick test_node_fired_trace;
+          Alcotest.test_case "same-time push order" `Quick
+            (test_same_time_push_order ~impl:Engine.Fast);
+          Alcotest.test_case "same-time push order (reference)" `Quick
+            (test_same_time_push_order ~impl:Engine.Reference);
           Alcotest.test_case "timer reset" `Quick
             (test_timer_reset_supersedes ~impl:Engine.Fast);
           Alcotest.test_case "timer reset (reference)" `Quick

@@ -1,7 +1,8 @@
-(* Tests for Slpdas_util: RNG, heap, statistics, bitsets, tables. *)
+(* Tests for Slpdas_util (RNG, statistics, bitsets, tables) and for the
+   engine's event queue (Slpdas_sim.Event_queue), a binary heap. *)
 
 module Rng = Slpdas_util.Rng
-module Heap = Slpdas_util.Heap
+module Event_queue = Slpdas_sim.Event_queue
 module Stats = Slpdas_util.Stats
 module Bitset = Slpdas_util.Bitset
 module Tabular = Slpdas_util.Tabular
@@ -115,47 +116,69 @@ let test_rng_shuffle_list_preserves_elements () =
     (List.sort compare ys)
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                               *)
+(* Heap: the engine's event queue, keyed (at, k1, k2)                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Pop everything, returning the items in pop order. *)
+let drain q =
+  let rec go acc =
+    if Event_queue.is_empty q then List.rev acc
+    else go (Event_queue.pop q :: acc)
+  in
+  go []
+
 let test_heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "fresh heap empty" true (Heap.is_empty h);
-  Heap.push h 3;
-  Heap.push h 1;
-  Heap.push h 2;
-  Alcotest.(check int) "length" 3 (Heap.length h);
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Heap.pop h);
-  Alcotest.(check (option int)) "exhausted" None (Heap.pop h)
+  let q = Event_queue.create () in
+  Alcotest.(check bool) "fresh queue empty" true (Event_queue.is_empty q);
+  Event_queue.push q ~at:2.0 ~k1:0 ~k2:0 "late";
+  Event_queue.push q ~at:1.0 ~k1:5 ~k2:0 "k1=5";
+  Event_queue.push q ~at:1.0 ~k1:(-1) ~k2:9 "k1=-1";
+  Event_queue.push q ~at:1.0 ~k1:5 ~k2:(-1) "k2=-1";
+  Alcotest.(check int) "length" 4 (Event_queue.length q);
+  Alcotest.(check (float 0.0)) "min at" 1.0 (Event_queue.min_at q);
+  Alcotest.(check (pair int int)) "min key" (-1, 9)
+    (Event_queue.min_k1 q, Event_queue.min_k2 q);
+  Alcotest.(check bool) "min before a later k1" true
+    (Event_queue.min_before q ~at:1.0 ~k1:0 ~k2:0);
+  Alcotest.(check bool) "min not before itself" false
+    (Event_queue.min_before q ~at:1.0 ~k1:(-1) ~k2:9);
+  Alcotest.(check (list string)) "time, then k1, then k2"
+    [ "k1=-1"; "k2=-1"; "k1=5"; "late" ]
+    (drain q);
+  Alcotest.(check bool) "nothing before anything when empty" false
+    (Event_queue.min_before q ~at:infinity ~k1:max_int ~k2:max_int)
 
 let test_heap_pop_exn_empty () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.check_raises "pop_exn on empty"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
+  let q : int Event_queue.t = Event_queue.create () in
+  let empty = Invalid_argument "Event_queue: empty queue" in
+  Alcotest.check_raises "pop on empty" empty (fun () ->
+      ignore (Event_queue.pop q));
+  Alcotest.check_raises "min_at on empty" empty (fun () ->
+      ignore (Event_queue.min_at q));
+  Event_queue.push q ~at:0.0 ~k1:0 ~k2:0 7;
+  Alcotest.(check int) "pop" 7 (Event_queue.pop q);
+  Alcotest.check_raises "pop after drain" empty (fun () ->
+      ignore (Event_queue.pop q))
 
-let test_heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  Heap.push h 1;
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
+(* Keys drawn from small ranges so equal [at] and equal [k1] (and, now and
+   then, fully equal keys) are common; each item is its own key, so a pop
+   is checked against the model's minimum key. *)
+let key_gen =
+  QCheck.Gen.(
+    triple (oneofl [ 0.0; 0.001; 1.0; 1.001; 20.0 ]) (int_range (-1) 3)
+      (int_range 0 7))
 
-let test_heap_to_sorted_list_nondestructive () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 4; 2; 9; 1 ];
-  Alcotest.(check (list int)) "sorted view" [ 1; 2; 4; 9 ] (Heap.to_sorted_list h);
-  Alcotest.(check int) "heap intact" 4 (Heap.length h)
+let print_key (at, k1, k2) = Printf.sprintf "(%g,%d,%d)" at k1 k2
+
+let push_key q ((at, k1, k2) as key) = Event_queue.push q ~at ~k1 ~k2 key
 
 let prop_heap_sorts =
-  QCheck.Test.make ~count:200 ~name:"heap drains in sorted order"
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      Heap.to_sorted_list h = List.sort compare xs)
+  QCheck.Test.make ~count:300 ~name:"heap drains in sorted order"
+    (QCheck.make ~print:QCheck.Print.(list print_key) (QCheck.Gen.list key_gen))
+    (fun keys ->
+      let q = Event_queue.create () in
+      List.iter (push_key q) keys;
+      drain q = List.sort compare keys)
 
 let remove_first x = function
   | [] -> []
@@ -166,28 +189,37 @@ let remove_first x = function
     in
     go [] xs
 
+(* Interleaved pushes and pops against a sorted-list model: every pop, and
+   the min accessors before it, must agree with the model's head. *)
 let prop_heap_interleaved =
-  QCheck.Test.make ~count:200 ~name:"heap min correct under interleaved ops"
-    QCheck.(list (pair bool small_int))
+  QCheck.Test.make ~count:300 ~name:"heap min correct under interleaved ops"
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           list (function
+             | None -> "pop"
+             | Some key -> "push " ^ print_key key))
+       QCheck.Gen.(list (opt ~ratio:0.6 key_gen)))
     (fun ops ->
-      let h = Heap.create ~cmp:compare in
+      let q = Event_queue.create () in
       let model = ref [] in
       List.for_all
-        (fun (is_push, v) ->
-          if is_push then begin
-            Heap.push h v;
-            model := v :: !model;
-            true
-          end
-          else begin
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | Some x, (_ :: _ as m) ->
-              let min_m = List.fold_left min (List.hd m) m in
-              model := remove_first min_m m;
-              x = min_m
-            | Some _, [] | None, _ :: _ -> false
-          end)
+        (fun op ->
+          match (op, List.sort compare !model) with
+          | Some key, _ ->
+            push_key q key;
+            model := key :: !model;
+            Event_queue.length q = List.length !model
+          | None, [] -> Event_queue.is_empty q
+          | None, ((at, k1, k2) as least) :: _ ->
+            let peeked =
+              (Event_queue.min_at q, Event_queue.min_k1 q, Event_queue.min_k2 q)
+            in
+            let before_self = Event_queue.min_before q ~at ~k1 ~k2 in
+            let before_next = Event_queue.min_before q ~at ~k1 ~k2:(k2 + 1) in
+            model := remove_first least !model;
+            peeked = least && (not before_self) && before_next
+            && Event_queue.pop q = least)
         ops)
 
 (* ------------------------------------------------------------------ *)
@@ -448,9 +480,6 @@ let () =
         [
           Alcotest.test_case "basic order" `Quick test_heap_basic;
           Alcotest.test_case "pop_exn empty" `Quick test_heap_pop_exn_empty;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "sorted view nondestructive" `Quick
-            test_heap_to_sorted_list_nondestructive;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
           QCheck_alcotest.to_alcotest prop_heap_interleaved;
         ] );

@@ -1545,8 +1545,8 @@ let engine_bench () =
 (* BENCH_SCALE selects the grid dimensions for the scale section as a
    comma-separated list; unset (or "0") skips the measurements, because the
    full sweep is minutes of wall clock.  The committed
-   bench_results/BENCH_scale.json records the last full
-   BENCH_SCALE=101,317,1000 run. *)
+   bench_results/BENCH_scale.json records the last BENCH_SCALE=101,317
+   run. *)
 let scale_dims =
   match Sys.getenv_opt "BENCH_SCALE" with
   | None | Some "" | Some "0" -> []
@@ -1555,17 +1555,33 @@ let scale_dims =
       (fun tok -> int_of_string_opt (String.trim tok))
       (String.split_on_char ',' s)
 
+(* The seeded builder is timed up to this dimension only: at 1000x1000 its
+   collision fixpoint takes minutes, dominated by the cascade of one-slot
+   decrements, so that row reports null rather than stall the sweep. *)
+let scale_seeded_max_dim = 317
+
 let scale () =
   section "Scale: DAS build + attacker run vs grid size";
   if scale_dims = [] then
     print_endline
       "(skipped: set BENCH_SCALE=101,317,1000 to time large grids; \
-       bench_results/BENCH_scale.json records the last full run)"
+       bench_results/BENCH_scale.json records the last run)"
   else begin
     let wall f =
       let t0 = Unix.gettimeofday () in
       let v = f () in
       (v, Unix.gettimeofday () -. t0)
+    in
+    (* Words allocated, minor plus direct-to-major (large arrays), as the
+       pipeline benchmark's [alloc_mw] counts them. *)
+    let allocated () =
+      let s = Gc.quick_stat () in
+      Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+    in
+    let wall_alloc f =
+      let w0 = allocated () in
+      let v, s = wall f in
+      (v, s, (allocated () -. w0) /. 1e6)
     in
     let records =
       List.map
@@ -1579,8 +1595,19 @@ let scale () =
           let n = Slpdas_wsn.Graph.n g in
           (* Graph.diameter is O(n·(n+m)) — deliberately not reported here;
              see its .mli cost warning. *)
-          let das, build_s =
-            wall (fun () -> Slpdas_core.Das_build.build g ~sink)
+          let das, build_s, build_mw =
+            wall_alloc (fun () -> Slpdas_core.Das_build.build g ~sink)
+          in
+          let seeded =
+            if dim > scale_seeded_max_dim then None
+            else begin
+              let _, s, mw =
+                wall_alloc (fun () ->
+                    Slpdas_core.Das_build.build
+                      ~rng:(Slpdas_util.Rng.create 1) g ~sink)
+              in
+              Some (s, mw)
+            end
           in
           let _compact, compact_s =
             wall (fun () -> Slpdas_core.Das_build.build_compact g ~sink)
@@ -1617,6 +1644,8 @@ let scale () =
             Slpdas_wsn.Graph.num_edges g,
             topo_s,
             build_s,
+            build_mw,
+            seeded,
             compact_s,
             verify_s,
             outcome,
@@ -1631,17 +1660,20 @@ let scale () =
     emit ~name:"scale"
       ~header:
         [
-          "grid"; "nodes"; "topology"; "DAS build"; "compact"; "verify";
-          "cells"; "shard run"; "shard tx";
+          "grid"; "nodes"; "topology"; "DAS build"; "seeded build"; "compact";
+          "verify"; "cells"; "shard run"; "shard tx";
         ]
       (List.map
-         (fun (dim, n, _m, topo_s, build_s, compact_s, verify_s, outcome,
-               cells, _ncells, _cut, _plan_s, shard_s, tx) ->
+         (fun (dim, n, _m, topo_s, build_s, build_mw, seeded, compact_s,
+               verify_s, outcome, cells, _ncells, _cut, _plan_s, shard_s, tx) ->
            [
              Printf.sprintf "%dx%d" dim dim;
              string_of_int n;
              Printf.sprintf "%.3f s" topo_s;
-             Printf.sprintf "%.2f s" build_s;
+             Printf.sprintf "%.2f s (%.1f Mw)" build_s build_mw;
+             (match seeded with
+              | Some (s, mw) -> Printf.sprintf "%.2f s (%.1f Mw)" s mw
+              | None -> "-");
              Printf.sprintf "%.2f s" compact_s;
              Printf.sprintf "%.4f s (%s)" verify_s outcome;
              Printf.sprintf "%dx%d" cells cells;
@@ -1654,20 +1686,29 @@ let scale () =
      with Sys_error _ -> ());
     try
       let oc = open_out (Filename.concat results_dir "BENCH_scale.json") in
-      output_string oc "{\n  \"unit\": \"seconds, single run\",\n";
+      output_string oc
+        "{\n  \"unit\": \"seconds, single run; *_mw: million words allocated\",\n";
       Printf.fprintf oc "  \"domains\": %d,\n  \"grids\": [\n" domains;
       List.iteri
-        (fun i (dim, n, m, topo_s, build_s, compact_s, verify_s, outcome,
-                _cells, ncells, cut, plan_s, shard_s, tx) ->
+        (fun i (dim, n, m, topo_s, build_s, build_mw, seeded, compact_s,
+                verify_s, outcome, _cells, ncells, cut, plan_s, shard_s, tx) ->
+          let seeded_s, seeded_mw =
+            match seeded with
+            | Some (s, mw) ->
+              (Printf.sprintf "%.4f" s, Printf.sprintf "%.3f" mw)
+            | None -> ("null", "null")
+          in
           Printf.fprintf oc
             "    {\"dim\": %d, \"nodes\": %d, \"edges\": %d, \
              \"topology_s\": %.4f, \"das_build_s\": %.4f, \
+             \"das_build_mw\": %.3f, \"das_build_seeded_s\": %s, \
+             \"das_build_seeded_mw\": %s, \
              \"das_build_compact_s\": %.4f, \"verify_s\": %.4f, \
              \"verify_outcome\": %S, \"shard_cells\": %d, \
              \"shard_cut_edges\": %d, \"shard_plan_s\": %.4f, \
              \"shard_run_s\": %.4f, \"shard_broadcasts\": %d}%s\n"
-            dim n m topo_s build_s compact_s verify_s outcome ncells cut
-            plan_s shard_s tx
+            dim n m topo_s build_s build_mw seeded_s seeded_mw compact_s
+            verify_s outcome ncells cut plan_s shard_s tx
             (if i = List.length records - 1 then "" else ","))
         records;
       output_string oc "  ]\n}\n";

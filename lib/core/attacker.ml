@@ -74,9 +74,9 @@ let heard_by g sched ~at ~r =
      the r smallest are selected directly rather than sorting the full
      audible list. *)
   let hear acc v =
-    match Schedule.slot sched v with
-    | Some slot -> insert_capped r { location = v; slot } acc
-    | None -> acc
+    let slot = Schedule.raw_slot sched v in
+    if slot = Schedule.none then acc
+    else insert_capped r { location = v; slot } acc
   in
   Array.fold_left hear (hear [] at) (Slpdas_wsn.Graph.neighbours g at)
 

@@ -18,15 +18,65 @@ let node_order_key ~salt v =
     Int64.to_int (Int64.logand (Slpdas_util.Rng.bits64 r) 0x3FFFFFFFFFFFFFFFL)
   end
 
-(* Slot as seen by children: the sink advertises the virtual slot ∆. *)
-let slot_view schedule ~delta v =
-  if v = Schedule.sink schedule then Some delta else Schedule.slot schedule v
+(* Nodes [v] grouped by [key v] into [rows] rows, as a CSR (offsets,
+   members) with each row in ascending node order; a negative key leaves
+   [v] out. *)
+let group ~rows ~n key =
+  let offsets = Array.make (rows + 1) 0 in
+  for v = 0 to n - 1 do
+    let k = key v in
+    if k >= 0 then offsets.(k) <- offsets.(k) + 1
+  done;
+  for r = 1 to rows do
+    offsets.(r) <- offsets.(r) + offsets.(r - 1)
+  done;
+  (* [offsets.(r)] is now where row [r] ends; filling each row backwards,
+     in descending node order, moves it to where the row starts. *)
+  let members = Array.make offsets.(rows) 0 in
+  for v = n - 1 downto 0 do
+    let k = key v in
+    if k >= 0 then begin
+      offsets.(k) <- offsets.(k) - 1;
+      members.(offsets.(k)) <- v
+    end
+  done;
+  (offsets, members)
 
-let fixpoint ?(delta = default_delta) ?(salt = 0) ~strong g ~schedule ~parent
-    ~pinned =
+let children parent =
+  let n = Array.length parent in
+  group ~rows:n ~n (fun v -> match parent.(v) with Some p -> p | None -> -1)
+
+(* Smallest assigned slot among [v]'s shortest-path parents other than the
+   sink, never above [bound]. *)
+let rec parents_floor schedule ~sink ~hop v neighbours i bound =
+  if i = Array.length neighbours then bound
+  else begin
+    let m = neighbours.(i) in
+    let bound =
+      if m <> sink && hop.(m) = hop.(v) - 1 then begin
+        let s = Schedule.raw_slot schedule m in
+        if s <> Schedule.none && s < bound then s else bound
+      end
+      else bound
+    in
+    parents_floor schedule ~sink ~hop v neighbours (i + 1) bound
+  end
+
+(* Whether some neighbour from index [i] on is the sink or transmits after
+   slot [sv]. *)
+let rec has_forwarder schedule ~sink sv neighbours i =
+  i < Array.length neighbours
+  && (let m = neighbours.(i) in
+      m = sink
+      || Schedule.raw_slot schedule m > sv
+      || has_forwarder schedule ~sink sv neighbours (i + 1))
+
+(* [hop] is the hop distance from the schedule's sink. *)
+let fixpoint ?(delta = default_delta) ?(salt = 0) ~strong g ~hop ~schedule
+    ~parent ~pinned =
   let n = Slpdas_wsn.Graph.n g in
   let sink = Schedule.sink schedule in
-  let hop = Slpdas_wsn.Graph.bfs_distances g sink in
+  let none = Schedule.none in
   let by_hop = Array.init n Fun.id in
   Array.sort
     (fun a b ->
@@ -34,17 +84,10 @@ let fixpoint ?(delta = default_delta) ?(salt = 0) ~strong g ~schedule ~parent
     by_hop;
   let position = Array.make n 0 in
   Array.iteri (fun i v -> position.(v) <- i) by_hop;
-  (* Unboxed slot mirror, [min_int] = unassigned.  Every write also goes to
-     [schedule], so it is current even when the fuel bound raises. *)
-  let slot =
-    Array.init n (fun v ->
-        match Schedule.slot schedule v with Some s -> s | None -> min_int)
-  in
-  let view v = if v = sink then delta else slot.(v) in
-  let two_hop =
-    Array.init n (fun v ->
-        Array.of_list (Slpdas_wsn.Graph.two_hop_neighbourhood g v))
-  in
+  let slot v = Schedule.raw_slot schedule v in
+  (* Slot as seen by children: the sink advertises the virtual slot ∆. *)
+  let view v = if v = sink then delta else slot v in
+  let two_hop = Slpdas_wsn.Graph.two_hop g in
   (* Rows are sorted, so the partners [m > v] that phase 2 probes form a
      suffix; [above.(v)] is where it starts. *)
   let above =
@@ -60,12 +103,7 @@ let fixpoint ?(delta = default_delta) ?(salt = 0) ~strong g ~schedule ~parent
   (* [parent] may name any node, neighbour or not (repair accepts arbitrary
      arrays), so a slot change must also reach the nodes whose parent it
      is. *)
-  let children = Array.make n [] in
-  for v = n - 1 downto 0 do
-    match parent.(v) with
-    | Some p -> children.(p) <- v :: children.(p)
-    | None -> ()
-  done;
+  let child_offsets, child = children parent in
   (* Dirty sets.  A visit reads only the slots of the node, its neighbours,
      its parent and (phase 2) its 2-hop neighbours, so with [pinned] pure a
      node none of those changed for since its last visit would assign
@@ -78,52 +116,56 @@ let fixpoint ?(delta = default_delta) ?(salt = 0) ~strong g ~schedule ~parent
   let dirty1 = Array.make n true and dirty2 = Array.make n true in
   let changed = ref true in
   let assign u s =
-    slot.(u) <- s;
     Schedule.assign schedule u s;
     changed := true;
     dirty1.(position.(u)) <- true;
-    Array.iter
-      (fun w -> dirty1.(position.(w)) <- true)
-      (Slpdas_wsn.Graph.neighbours g u);
-    List.iter (fun c -> dirty1.(position.(c)) <- true) children.(u);
+    let neighbours = Slpdas_wsn.Graph.neighbours g u in
+    for i = 0 to Array.length neighbours - 1 do
+      dirty1.(position.(neighbours.(i))) <- true
+    done;
+    for i = child_offsets.(u) to child_offsets.(u + 1) - 1 do
+      dirty1.(position.(child.(i))) <- true
+    done;
     dirty2.(u) <- true;
-    Array.iter (fun w -> dirty2.(w) <- true) two_hop.(u)
+    let row = two_hop.(u) in
+    for i = 0 to Array.length row - 1 do
+      dirty2.(row.(i)) <- true
+    done
   in
   (* Child-below-parent repair, outwards from the sink (the update mode of
      Fig. 2: a child whose slot is not below its parent's re-lowers). *)
   let relower v =
-    let sv = slot.(v) in
-    if v <> sink && sv <> min_int && not (pinned v) then begin
+    let sv = slot v in
+    if v <> sink && sv <> none && not (pinned v) then begin
       let neighbours = Slpdas_wsn.Graph.neighbours g v in
       if strong then begin
         (* Strong DAS (Def. 2): below the chosen parent and every
            shortest-path parent (condition 3). *)
-        let bound = ref max_int in
-        let consider s = if s <> min_int && s < !bound then bound := s in
-        (match parent.(v) with Some p -> consider (view p) | None -> ());
-        if hop.(v) > 0 then
-          Array.iter
-            (fun m ->
-              if m <> sink && hop.(m) = hop.(v) - 1 then consider slot.(m))
-            neighbours;
-        if !bound < max_int && sv >= !bound then assign v (!bound - 1)
+        let bound =
+          match parent.(v) with
+          | Some p ->
+            let ps = view p in
+            if ps = none then max_int else ps
+          | None -> max_int
+        in
+        let bound =
+          if hop.(v) > 0 then
+            parents_floor schedule ~sink ~hop v neighbours 0 bound
+          else bound
+        in
+        if bound < max_int && sv >= bound then assign v (bound - 1)
       end
-      else begin
+      else if not (has_forwarder schedule ~sink sv neighbours 0) then begin
         (* Weak DAS (Def. 3): re-lower only when no neighbour at all
            transmits later — the least repair that keeps data flowing, and
            the most that can be done without erasing the decoy gradient
            Phase 3 planted (a blanket below-parent cascade would hand the
            attacker a fresh descent from the decoy end). *)
-        let has_forwarder =
-          Array.exists (fun m -> m = sink || slot.(m) > sv) neighbours
-        in
-        if not has_forwarder then begin
-          match parent.(v) with
-          | Some p ->
-            let ps = view p in
-            if ps <> min_int && sv >= ps then assign v (ps - 1)
-          | None -> ()
-        end
+        match parent.(v) with
+        | Some p ->
+          let ps = view p in
+          if ps <> none && sv >= ps then assign v (ps - 1)
+        | None -> ()
       end
     end
   in
@@ -143,18 +185,18 @@ let fixpoint ?(delta = default_delta) ?(salt = 0) ~strong g ~schedule ~parent
      collision: later probes compare against it, and that order is part of
      the schedule the oracle tests pin. *)
   let resolve v =
-    let sv = slot.(v) in
-    if sv <> min_int then begin
+    let sv = slot v in
+    if sv <> none then
       let row = two_hop.(v) in
       for i = above.(v) to Array.length row - 1 do
         let m = row.(i) in
-        if slot.(m) = sv then begin
-          let loser, winner = if later v m then (v, m) else (m, v) in
-          if not (pinned loser) then assign loser (slot.(loser) - 1)
-          else if not (pinned winner) then assign winner (slot.(winner) - 1)
+        if slot m = sv then begin
+          let loser = if later v m then v else m in
+          let winner = if loser = v then m else v in
+          if not (pinned loser) then assign loser (slot loser - 1)
+          else if not (pinned winner) then assign winner (slot winner - 1)
         end
       done
-    end
   in
   let fuel = ref ((50 * n) + 100) in
   while !changed do
@@ -176,7 +218,22 @@ let fixpoint ?(delta = default_delta) ?(salt = 0) ~strong g ~schedule ~parent
   done
 
 let repair ?(strong = false) ?(salt = 0) g ~schedule ~parent ~pinned =
-  fixpoint ~strong ~salt g ~schedule ~parent ~pinned
+  let hop = Slpdas_wsn.Graph.bfs_distances g (Schedule.sink schedule) in
+  fixpoint ~strong ~salt g ~hop ~schedule ~parent ~pinned
+
+(* How many of [neighbours] lie at hop [h]. *)
+let count_at ~hop h neighbours =
+  let k = ref 0 in
+  for i = 0 to Array.length neighbours - 1 do
+    if hop.(neighbours.(i)) = h then incr k
+  done;
+  !k
+
+(* The [j]-th of [neighbours] at hop [h], counting from index [i]. *)
+let rec nth_at ~hop h neighbours i j =
+  if hop.(neighbours.(i)) <> h then nth_at ~hop h neighbours (i + 1) j
+  else if j = 0 then neighbours.(i)
+  else nth_at ~hop h neighbours (i + 1) (j - 1)
 
 let build ?rng ?(delta = default_delta) g ~sink =
   let n = Slpdas_wsn.Graph.n g in
@@ -184,67 +241,66 @@ let build ?rng ?(delta = default_delta) g ~sink =
   let schedule = Schedule.create ~n ~sink in
   let parent = Array.make n None in
   (* Per-parent competitor ordering: the rank(i, Others[par]) of Fig. 2.
-     Deterministic runs sort by id; seeded runs shuffle once per parent so
-     all of a parent's children agree on their ranks, as they would when
-     hearing the same broadcast. *)
-  let competitor_order = Hashtbl.create 64 in
+     Deterministic runs sort by id; seeded runs shuffle once per parent, at
+     its first query, so all of a parent's children agree on their ranks,
+     as they would when hearing the same broadcast.  An empty entry is one
+     not yet queried: a queried parent has at least the querying child. *)
+  let competitor_order = Array.make n [||] in
   let rank_under p v =
-    let order =
-      match Hashtbl.find_opt competitor_order p with
-      | Some order -> order
-      | None ->
-        let competitors =
-          Array.to_list (Slpdas_wsn.Graph.neighbours g p)
-          |> List.filter (fun m -> hop.(m) = hop.(p) + 1)
-        in
-        let order =
-          match rng with
-          | None -> competitors
-          | Some r -> Slpdas_util.Rng.shuffle_list r competitors
-        in
-        Hashtbl.replace competitor_order p order;
-        order
-    in
-    let rec index i = function
-      | [] -> invalid_arg "Das_build.rank_under: node not a competitor"
-      | m :: rest -> if m = v then i else index (i + 1) rest
-    in
-    index 0 order
+    if Array.length competitor_order.(p) = 0 then begin
+      let neighbours = Slpdas_wsn.Graph.neighbours g p in
+      let h = hop.(p) + 1 in
+      let order = Array.make (count_at ~hop h neighbours) 0 in
+      let k = ref 0 in
+      for i = 0 to Array.length neighbours - 1 do
+        let m = neighbours.(i) in
+        if hop.(m) = h then begin
+          order.(!k) <- m;
+          incr k
+        end
+      done;
+      (match rng with Some r -> Slpdas_util.Rng.shuffle r order | None -> ());
+      competitor_order.(p) <- order
+    end;
+    let order = competitor_order.(p) in
+    let i = ref 0 in
+    while order.(!i) <> v do
+      incr i
+    done;
+    !i
   in
   let max_hop = Array.fold_left max 0 hop in
-  (* Hop buckets, built in one descending sweep so each level lists its
-     nodes in ascending id — the order the per-level [List.filter] over
-     [0 .. n-1] produced, without the O(n · depth) rescans. *)
-  let levels = Array.make (max_hop + 1) [] in
-  for v = n - 1 downto 0 do
-    if hop.(v) >= 0 then levels.(hop.(v)) <- v :: levels.(hop.(v))
-  done;
-  for d = 1 to max_hop do
-    let level = levels.(d) in
-    List.iter
-      (fun v ->
-        let parents = Slpdas_wsn.Graph.shortest_path_parents g ~dist:hop v in
-        let p =
-          match (rng, parents) with
-          | _, [] -> assert false (* hop.(v) = d >= 1 guarantees a parent *)
-          | None, p :: _ -> p
-          | Some r, parents -> Slpdas_util.Rng.choose r parents
-        in
-        parent.(v) <- Some p;
-        let pslot =
-          match slot_view schedule ~delta p with
-          | Some s -> s
-          | None -> assert false (* level d-1 is fully assigned *)
-        in
-        Schedule.assign schedule v (pslot - rank_under p v - 1))
-      level
+  (* Reachable nodes by hop, each level in ascending id; unreachable ones
+     (hop -1) are left out and stay unassigned. *)
+  let level_offsets, by_level =
+    group ~rows:(max_hop + 1) ~n (fun v -> hop.(v))
+  in
+  for i = level_offsets.(1) to Array.length by_level - 1 do
+    let v = by_level.(i) in
+    let neighbours = Slpdas_wsn.Graph.neighbours g v in
+    (* A shortest-path parent, drawn as [Rng.choose] draws from the sorted
+       list of them (no draw for a single candidate); unseeded runs take
+       the least id. *)
+    let j =
+      match rng with
+      | Some r ->
+        let candidates = count_at ~hop (hop.(v) - 1) neighbours in
+        if candidates > 1 then Slpdas_util.Rng.int r candidates else 0
+      | None -> 0
+    in
+    let p = nth_at ~hop (hop.(v) - 1) neighbours 0 j in
+    parent.(v) <- Some p;
+    let pslot = if p = sink then delta else Schedule.raw_slot schedule p in
+    assert (pslot <> Schedule.none) (* level d-1 is fully assigned *);
+    Schedule.assign schedule v (pslot - rank_under p v - 1)
   done;
   let salt =
     match rng with
     | None -> 0
     | Some r -> 1 + Slpdas_util.Rng.int r 0x3FFF_FFFF
   in
-  fixpoint ~delta ~salt ~strong:true g ~schedule ~parent ~pinned:(fun _ -> false);
+  fixpoint ~delta ~salt ~strong:true g ~hop ~schedule ~parent
+    ~pinned:(fun _ -> false);
   { schedule; parent; hop }
 
 let schedule_length schedule =

@@ -68,6 +68,14 @@ val node_order_key : salt:int -> int -> int
     artefact its TOSSIM timing noise scrambled, so seeded runs scramble the
     order too.  [salt = 0] is the identity (plain identifier order). *)
 
+val children : int option array -> int array * int array
+(** [children parent] is the reverse of a parent array as a compressed
+    sparse row table [(offsets, members)]: the row of [p],
+    [members.(offsets.(p)) .. members.(offsets.(p + 1) - 1)], lists the
+    nodes [v] with [parent.(v) = Some p] in ascending order.  Built in
+    O(n) with no per-node lists.
+    @raise Invalid_argument if a parent is out of range. *)
+
 val repair :
   ?strong:bool ->
   ?salt:int ->

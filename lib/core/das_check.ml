@@ -36,32 +36,31 @@ let compare_violation x y =
   | c -> c
 
 let non_colliding g sched v =
-  match Schedule.slot sched v with
-  | None -> false
-  | Some s ->
-    List.for_all
-      (fun m -> Schedule.slot sched m <> Some s)
-      (Slpdas_wsn.Graph.two_hop_neighbourhood g v)
+  let s = Schedule.raw_slot sched v in
+  s <> Schedule.none
+  && List.for_all
+       (fun m -> Schedule.raw_slot sched m <> s)
+       (Slpdas_wsn.Graph.two_hop_neighbourhood g v)
 
 let collisions g sched =
+  let two_hop = Slpdas_wsn.Graph.two_hop g in
   let acc = ref [] in
   for v = Slpdas_wsn.Graph.n g - 1 downto 0 do
-    match Schedule.slot sched v with
-    | None -> ()
-    | Some s ->
-      List.iter
-        (fun m ->
-          if m > v && Schedule.slot sched m = Some s then
-            acc := Collision { a = v; b = m; slot = s } :: !acc)
-        (Slpdas_wsn.Graph.two_hop_neighbourhood g v)
+    let s = Schedule.raw_slot sched v in
+    if s <> Schedule.none then
+      for i = 0 to Array.length two_hop.(v) - 1 do
+        let m = two_hop.(v).(i) in
+        if m > v && Schedule.raw_slot sched m = s then
+          acc := Collision { a = v; b = m; slot = s } :: !acc
+      done
   done;
   List.sort compare_violation !acc
 
 let unassigned sched =
   let acc = ref [] in
   for v = Schedule.n sched - 1 downto 0 do
-    if v <> Schedule.sink sched && not (Schedule.assigned sched v) then
-      acc := Unassigned v :: !acc
+    if v <> Schedule.sink sched && Schedule.raw_slot sched v = Schedule.none
+    then acc := Unassigned v :: !acc
   done;
   !acc
 
@@ -72,38 +71,35 @@ let strong_condition3 g sched =
   let dist = Slpdas_wsn.Graph.bfs_distances g sink in
   let acc = ref [] in
   for v = Slpdas_wsn.Graph.n g - 1 downto 0 do
-    if v <> sink then begin
-      match Schedule.slot sched v with
-      | None -> ()
-      | Some s ->
-        List.iter
-          (fun parent ->
-            if parent <> sink then begin
-              match Schedule.slot sched parent with
-              | Some ps when ps > s -> ()
-              | Some _ | None ->
-                acc := Early_parent { node = v; parent } :: !acc
-            end)
-          (Slpdas_wsn.Graph.shortest_path_parents g ~dist v)
+    let s = Schedule.raw_slot sched v in
+    if v <> sink && s <> Schedule.none && dist.(v) > 0 then begin
+      let neighbours = Slpdas_wsn.Graph.neighbours g v in
+      for i = 0 to Array.length neighbours - 1 do
+        let parent = neighbours.(i) in
+        (* An unassigned parent reads [Schedule.none], below every slot. *)
+        if parent <> sink && dist.(parent) = dist.(v) - 1
+           && Schedule.raw_slot sched parent <= s
+        then acc := Early_parent { node = v; parent } :: !acc
+      done
     end
   done;
   List.rev !acc
 
-(* Weak condition 3: at least one neighbour is the sink or transmits later. *)
+(* Weak condition 3: at least one neighbour is the sink or transmits later
+   (an unassigned neighbour reads [Schedule.none], below every slot). *)
 let weak_condition3 g sched =
   let sink = Schedule.sink sched in
   let acc = ref [] in
   for v = Slpdas_wsn.Graph.n g - 1 downto 0 do
-    if v <> sink then begin
-      match Schedule.slot sched v with
-      | None -> ()
-      | Some s ->
-        let forwards m =
-          m = sink
-          || match Schedule.slot sched m with Some ms -> ms > s | None -> false
-        in
-        if not (List.exists forwards (Slpdas_wsn.Graph.neighbour_list g v))
-        then acc := No_forwarder { node = v } :: !acc
+    let s = Schedule.raw_slot sched v in
+    if v <> sink && s <> Schedule.none then begin
+      let neighbours = Slpdas_wsn.Graph.neighbours g v in
+      let forwarded = ref false in
+      for i = 0 to Array.length neighbours - 1 do
+        let m = neighbours.(i) in
+        if m = sink || Schedule.raw_slot sched m > s then forwarded := true
+      done;
+      if not !forwarded then acc := No_forwarder { node = v } :: !acc
     end
   done;
   List.rev !acc

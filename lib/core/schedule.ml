@@ -1,15 +1,17 @@
 type t = {
   n : int;
   sink : int;
-  slots : int option array;
+  slots : int array;  (* [none] = unassigned; the sink's entry stays [none] *)
   (* Lazily computed content digest, invalidated by [assign]/[clear_slot] so
      a warm read is a field load rather than an O(n) rehash. *)
   mutable digest_memo : string option;
 }
 
+let none = min_int
+
 let create ~n ~sink =
   if sink < 0 || sink >= n then invalid_arg "Schedule.create: sink out of range";
-  { n; sink; slots = Array.make n None; digest_memo = None }
+  { n; sink; slots = Array.make n none; digest_memo = None }
 
 let n t = t.n
 
@@ -21,36 +23,43 @@ let check_node t v =
 let assign t v s =
   check_node t v;
   if v = t.sink then invalid_arg "Schedule.assign: the sink has no slot";
-  t.slots.(v) <- Some s;
+  if s = none then invalid_arg "Schedule.assign: Schedule.none is not a slot";
+  t.slots.(v) <- s;
   t.digest_memo <- None
 
 let clear_slot t v =
   check_node t v;
-  t.slots.(v) <- None;
+  t.slots.(v) <- none;
   t.digest_memo <- None
 
-let slot t v =
+let raw_slot t v =
   check_node t v;
   t.slots.(v)
 
-let slot_exn t v =
-  match slot t v with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Schedule.slot_exn: node %d unassigned" v)
+let slot t v =
+  let s = raw_slot t v in
+  if s = none then None else Some s
 
-let assigned t v = Option.is_some (slot t v)
+let slot_exn t v =
+  let s = raw_slot t v in
+  if s = none then
+    invalid_arg (Printf.sprintf "Schedule.slot_exn: node %d unassigned" v);
+  s
+
+let assigned t v = raw_slot t v <> none
 
 let complete t =
   let ok = ref true in
   for v = 0 to t.n - 1 do
-    if v <> t.sink && t.slots.(v) = None then ok := false
+    if v <> t.sink && t.slots.(v) = none then ok := false
   done;
   !ok
 
 let fold_assigned f t init =
   let acc = ref init in
   for v = 0 to t.n - 1 do
-    match t.slots.(v) with Some s -> acc := f v s !acc | None -> ()
+    let s = t.slots.(v) in
+    if s <> none then acc := f v s !acc
   done;
   !acc
 
@@ -67,11 +76,11 @@ let max_slot t =
 let sender_sets t =
   let by_slot = Hashtbl.create 64 in
   for v = t.n - 1 downto 0 do
-    match t.slots.(v) with
-    | None -> ()
-    | Some s ->
+    let s = t.slots.(v) in
+    if s <> none then begin
       let senders = Option.value ~default:[] (Hashtbl.find_opt by_slot s) in
       Hashtbl.replace by_slot s (v :: senders)
+    end
   done;
   Hashtbl.fold (fun s senders acc -> (s, senders) :: acc) by_slot []
   |> List.sort (Slpdas_util.Order.by fst Int.compare)
@@ -86,12 +95,12 @@ let digest t =
       Slpdas_util.Fnv.add_int h t.n;
       Slpdas_util.Fnv.add_int h t.sink;
       Array.iter
-        (fun slot ->
-          match slot with
-          | None -> Slpdas_util.Fnv.add_int h (-1)
-          | Some s ->
-              Slpdas_util.Fnv.add_int h 1;
-              Slpdas_util.Fnv.add_int h s)
+        (fun s ->
+          if s = none then Slpdas_util.Fnv.add_int h (-1)
+          else begin
+            Slpdas_util.Fnv.add_int h 1;
+            Slpdas_util.Fnv.add_int h s
+          end)
         t.slots;
       let d = "s1-" ^ Slpdas_util.Fnv.hex h in
       t.digest_memo <- Some d;
@@ -99,7 +108,7 @@ let digest t =
 
 let equal a b =
   a.n = b.n && a.sink = b.sink
-  && Array.for_all2 (Option.equal Int.equal) a.slots b.slots
+  && Array.for_all2 Int.equal a.slots b.slots
 
 let of_alist ~n ~sink assocs =
   let t = create ~n ~sink in
@@ -150,6 +159,8 @@ let of_string text =
             | Some v, Some s when v >= 0 && v < n && v <> sink ->
               if assigned t v then
                 Error (Printf.sprintf "duplicate assignment for node %d" v)
+              else if s = none then
+                Error (Printf.sprintf "node %d: slot %d is reserved" v s)
               else begin
                 assign t v s;
                 load rest
@@ -181,9 +192,9 @@ let pp_grid ~dim ppf t =
       let v = (r * dim) + c in
       if v = t.sink then Format.fprintf ppf "  SNK"
       else begin
-        match t.slots.(v) with
-        | None -> Format.fprintf ppf "    ."
-        | Some s -> Format.fprintf ppf " %4d" s
+        let s = t.slots.(v) in
+        if s = none then Format.fprintf ppf "    ."
+        else Format.fprintf ppf " %4d" s
       end
     done;
     Format.fprintf ppf "@ "

@@ -14,6 +14,10 @@
 
 type t
 
+val none : int
+(** [none] ([min_int]) is the unassigned marker {!raw_slot} returns.  It is
+    never a slot: {!assign} rejects it. *)
+
 val create : n:int -> sink:int -> t
 (** [create ~n ~sink] is the empty schedule over [n] nodes: no node has a
     slot.  @raise Invalid_argument if [sink] is out of range. *)
@@ -24,9 +28,16 @@ val sink : t -> int
 
 val assign : t -> int -> int -> unit
 (** [assign t v s] gives node [v] slot [s], replacing any previous slot.
-    @raise Invalid_argument if [v] is the sink or out of range. *)
+    @raise Invalid_argument if [v] is the sink or out of range, or if
+    [s = none]. *)
 
 val clear_slot : t -> int -> unit
+
+val raw_slot : t -> int -> int
+(** [raw_slot t v] is [v]'s slot, or {!none} if unassigned (always [none]
+    for the sink) — {!slot} without the option box, for per-node loops on
+    hot paths.  Compare against [none] before using the value as a slot.
+    @raise Invalid_argument if [v] is out of range. *)
 
 val slot : t -> int -> int option
 (** [slot t v] is [v]'s slot, or [None] if unassigned (always [None] for the
@@ -78,7 +89,8 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parse the {!to_string} format; [Error] carries a human-readable reason
-    (bad header, malformed line, out-of-range or duplicate node, …). *)
+    (bad header, malformed line, out-of-range or duplicate node, the
+    reserved slot {!none}, …). *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -15,35 +15,35 @@ let choose rng = function
     | Some r -> Some (Slpdas_util.Rng.choose r candidates)
     end
 
-(* Children of [v] in the aggregation tree built by Phase 1. *)
-let children parent v =
-  let acc = ref [] in
-  Array.iteri (fun u p -> if p = Some v then acc := u :: !acc) parent;
-  List.rev !acc
-
-let slot_view schedule ~delta v =
-  if v = Schedule.sink schedule then Some delta else Schedule.slot schedule v
+(* Slot as heard by neighbours: the sink advertises the virtual slot ∆. *)
+let view schedule ~delta v =
+  if v = Schedule.sink schedule then delta else Schedule.raw_slot schedule v
 
 (* min{Ninfo[j].slot | j ∈ myN} ∪ {slot}: the audible slot floor around
    [v]. *)
 let neighbourhood_min g schedule ~delta v =
-  let candidates =
-    List.filter_map
-      (slot_view schedule ~delta)
-      (v :: Slpdas_wsn.Graph.neighbour_list g v)
-  in
-  match candidates with
-  | [] -> None
-  | x :: rest -> Some (List.fold_left min x rest)
+  let floor = ref (view schedule ~delta v) in
+  let neighbours = Slpdas_wsn.Graph.neighbours g v in
+  for i = 0 to Array.length neighbours - 1 do
+    let s = view schedule ~delta neighbours.(i) in
+    if s <> Schedule.none && (!floor = Schedule.none || s < !floor) then
+      floor := s
+  done;
+  if !floor = Schedule.none then None else Some !floor
 
-let min_slot_child schedule parent v =
-  children parent v
-  |> List.filter_map (fun c ->
-         Option.map (fun s -> (s, c)) (Schedule.slot schedule c))
-  |> List.sort Slpdas_util.Order.int_pair
-  |> function
-  | [] -> None
-  | (_, c) :: _ -> Some c
+(* The lowest-slotted of [v]'s children in the {!Das_build.children} table,
+   whose rows ascend in id, so ties go to the least id. *)
+let min_slot_child schedule offsets members v =
+  let best = ref (-1) and best_slot = ref max_int in
+  for i = offsets.(v) to offsets.(v + 1) - 1 do
+    let c = members.(i) in
+    let s = Schedule.raw_slot schedule c in
+    if s <> Schedule.none && (!best < 0 || s < !best_slot) then begin
+      best := c;
+      best_slot := s
+    end
+  done;
+  if !best < 0 then None else Some !best
 
 let refine ?rng ?(gap = 1) g ~das ~search_distance ~change_length =
   if search_distance < 1 then invalid_arg "Slp_refine: search_distance < 1";
@@ -53,12 +53,17 @@ let refine ?rng ?(gap = 1) g ~das ~search_distance ~change_length =
   let schedule = Schedule.copy das.Das_build.schedule in
   let parent = das.Das_build.parent in
   let sink = Schedule.sink schedule in
+  let child_offsets, child = Das_build.children parent in
+  let children v =
+    let first = child_offsets.(v) in
+    List.init (child_offsets.(v + 1) - first) (fun i -> child.(first + i))
+  in
   (* Phase 2: descend minimum-slot children for [search_distance] hops. *)
   let rec descend cur remaining visited path =
     if remaining = 0 then Some (cur, visited, path)
     else begin
       let next =
-        match min_slot_child schedule parent cur with
+        match min_slot_child schedule child_offsets child cur with
         | Some c -> Some c
         | None ->
           (* No children: lowest-slotted neighbour off the path. *)
@@ -96,7 +101,7 @@ let refine ?rng ?(gap = 1) g ~das ~search_distance ~change_length =
         |> List.filter (fun v -> Some v <> parent.(cur))
       in
       let pool =
-        match unvisited (children parent cur) with
+        match unvisited (children cur) with
         | [] ->
           begin match unvisited neighbours_pool with
           | [] -> neighbours_pool

@@ -7,7 +7,8 @@ type outcome =
    transmission counts as "earlier than" it: leaving such a position is a
    next-period (descending) step. *)
 let slot_rank sched v =
-  match Schedule.slot sched v with Some s -> s | None -> max_int
+  let s = Schedule.raw_slot sched v in
+  if s = Schedule.none then max_int else s
 
 let truncate n xs = List.filteri (fun i _ -> i < n) xs
 

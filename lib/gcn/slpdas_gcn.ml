@@ -35,7 +35,6 @@ module Timer = struct
   let equal = Int.equal
   let compare = Int.compare
   let count () = Hashtbl.length (Atomic.get table)
-  let pp fmt t = Format.pp_print_string fmt (name t)
 end
 
 type 'm trigger =

@@ -51,8 +51,6 @@ module Timer : sig
 
   val count : unit -> int
   (** Number of distinct names interned so far, process-wide. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 type 'm trigger =

@@ -207,15 +207,10 @@ let set_link_loss t ~a ~b loss =
      canonical (min, max) rendering of the edge. *)
   emit t (Event.Link_changed { time = t.now; a = gid t lo; b = gid t hi; loss })
 
-let link_loss t ~a ~b =
-  Option.value ~default:0.0 (Hashtbl.find_opt t.link_overrides (link_key a b))
-
 let set_global_loss t loss =
   let loss = clamp_unit loss in
   t.global_loss <- loss;
   emit t (Event.Link_changed { time = t.now; a = -1; b = -1; loss })
-
-let global_loss t = t.global_loss
 
 let faults_active t =
   t.global_loss > 0.0 || Hashtbl.length t.link_overrides > 0

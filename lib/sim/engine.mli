@@ -224,16 +224,11 @@ val set_link_loss : ('s, 'm) t -> a:int -> b:int -> float -> unit
     counts an {!Event.Link_changed} event.
     @raise Invalid_argument if a node is out of range. *)
 
-val link_loss : ('s, 'm) t -> a:int -> b:int -> float
-(** Current override for an edge; [0] when none. *)
-
 val set_global_loss : ('s, 'm) t -> float -> unit
 (** [set_global_loss t p] makes {e every} delivery additionally fail with
     probability [p] (clamped; [0] switches the burst off) — transient
     message-loss bursts.  Publishes an {!Event.Link_changed} event with
     [a = b = -1]. *)
-
-val global_loss : ('s, 'm) t -> float
 
 val step : ('s, 'm) t -> bool
 (** Process the next event.  [false] iff the queue was empty.  Under the

@@ -55,10 +55,6 @@ let gaussian t ~mean ~std =
   let r = sqrt (-2.0 *. log u1) in
   mean +. (std *. r *. cos (2.0 *. Float.pi *. u2))
 
-let choose_array t xs =
-  if Array.length xs = 0 then invalid_arg "Rng.choose_array: empty array";
-  xs.(int t (Array.length xs))
-
 let choose t xs =
   match xs with
   | [] -> invalid_arg "Rng.choose: empty list"

@@ -52,10 +52,6 @@ val choose : t -> 'a list -> 'a
 (** [choose t xs] picks a uniform element of [xs].
     @raise Invalid_argument if [xs] is empty. *)
 
-val choose_array : t -> 'a array -> 'a
-(** [choose_array t xs] picks a uniform element of [xs].
-    @raise Invalid_argument if [xs] is empty. *)
-
 val shuffle : t -> 'a array -> unit
 (** [shuffle t xs] permutes [xs] in place (Fisher–Yates). *)
 

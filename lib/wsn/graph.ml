@@ -225,41 +225,64 @@ let diameter g =
     if !disconnected then -1 else !best
   end
 
-(* Gathered as a sort-and-dedupe over the (small) concatenation of the
-   neighbours' rows rather than an n-bit set: the former costs
-   O(d² log d) in the vertex degree d, the latter O(n) per call — which
-   turns every all-vertices sweep (DAS fixpoints, collision checks)
-   quadratic in the network size.  The output is the same sorted
-   duplicate-free list either way. *)
-let two_hop_neighbourhood g u =
-  let nu = neighbours g u in
-  let total =
-    Array.fold_left
-      (fun acc v -> acc + Array.length g.adj.(v))
-      (Array.length nu) nu
-  in
-  if total = 0 then []
+(* How many entries [u]'s 2-hop row can hold at most: its neighbours plus
+   their neighbours, duplicates counted. *)
+let two_hop_width g u =
+  let nu = g.adj.(u) and width = ref 0 in
+  for i = 0 to Array.length nu - 1 do
+    width := !width + 1 + Array.length g.adj.(nu.(i))
+  done;
+  !width
+
+(* Inserts [x] into the sorted, duplicate-free [buf.(0 .. k-1)] unless it
+   is already there; returns the new length. *)
+let insert_sorted buf k x =
+  let i = ref k in
+  while !i > 0 && buf.(!i - 1) > x do
+    decr i
+  done;
+  if !i > 0 && buf.(!i - 1) = x then k
   else begin
-    let buf = Array.make total 0 in
-    let k = ref 0 in
-    Array.iter
-      (fun v ->
-        buf.(!k) <- v;
-        incr k;
-        Array.iter
-          (fun w ->
-            buf.(!k) <- w;
-            incr k)
-          g.adj.(v))
-      nu;
-    Array.sort Int.compare buf;
-    let acc = ref [] in
-    for i = total - 1 downto 0 do
-      let x = buf.(i) in
-      if x <> u && (i = 0 || buf.(i - 1) <> x) then acc := x :: !acc
+    for j = k downto !i + 1 do
+      buf.(j) <- buf.(j - 1)
     done;
-    !acc
+    buf.(!i) <- x;
+    k + 1
   end
+
+(* Gathers [u]'s 2-hop row into [buf] by insertion and returns its length.
+   The cost depends only on the degrees around [u], never on n (an n-bit
+   set would make every all-vertices sweep quadratic in the network size),
+   and on a grid, where a row holds a dozen entries, insertion beats a
+   sort. *)
+let fill_two_hop g buf u =
+  let nu = g.adj.(u) in
+  let k = ref 0 in
+  for i = 0 to Array.length nu - 1 do
+    let v = nu.(i) in
+    k := insert_sorted buf !k v;
+    let nv = g.adj.(v) in
+    for j = 0 to Array.length nv - 1 do
+      if nv.(j) <> u then k := insert_sorted buf !k nv.(j)
+    done
+  done;
+  !k
+
+let two_hop_neighbourhood g u =
+  if u < 0 || u >= g.n then
+    invalid_arg "Graph.two_hop_neighbourhood: vertex out of range";
+  let buf = Array.make (two_hop_width g u) 0 in
+  Array.to_list (Array.sub buf 0 (fill_two_hop g buf u))
+
+(* One scratch buffer, as wide as the widest row, serves every row; each
+   row is then copied out at its exact size. *)
+let two_hop g =
+  let width = ref 0 in
+  for u = 0 to g.n - 1 do
+    width := max !width (two_hop_width g u)
+  done;
+  let buf = Array.make !width 0 in
+  Array.init g.n (fun u -> Array.sub buf 0 (fill_two_hop g buf u))
 
 let shortest_path_parents g ~dist u =
   if Array.length dist <> g.n then

@@ -31,7 +31,28 @@ let test_schedule_basic () =
 let test_schedule_sink_unassignable () =
   let s = Schedule.create ~n:2 ~sink:1 in
   Alcotest.check_raises "sink" (Invalid_argument "Schedule.assign: the sink has no slot")
-    (fun () -> Schedule.assign s 1 3)
+    (fun () -> Schedule.assign s 1 3);
+  Alcotest.(check int) "sink reads none" Schedule.none (Schedule.raw_slot s 1)
+
+let test_schedule_none_rejected () =
+  let s = Schedule.create ~n:2 ~sink:1 in
+  Alcotest.check_raises "none"
+    (Invalid_argument "Schedule.assign: Schedule.none is not a slot")
+    (fun () -> Schedule.assign s 0 Schedule.none);
+  Alcotest.(check bool) "still unassigned" false (Schedule.assigned s 0)
+
+(* The digest keys persistent verification caches, so it must not drift
+   with the in-memory representation: pinned to its literal value, covering
+   an assigned node, a negative slot, an unassigned node and the sink. *)
+let test_schedule_digest_pinned () =
+  let s = Schedule.of_alist ~n:5 ~sink:4 [ (0, 2); (1, -1); (3, 100) ] in
+  Alcotest.(check string) "digest" "s1-08ad745c165fbf8b25cced139378da72"
+    (Schedule.digest s);
+  Alcotest.(check string) "grid"
+    "    7    .\n    5  SNK\n"
+    (Format.asprintf "%a"
+       (Schedule.pp_grid ~dim:2)
+       (Schedule.of_alist ~n:4 ~sink:3 [ (0, 7); (2, 5) ]))
 
 let test_schedule_sender_sets () =
   let s = Schedule.of_alist ~n:5 ~sink:4 [ (0, 2); (1, 1); (2, 2); (3, 3) ] in
@@ -48,13 +69,19 @@ let test_schedule_copy_isolated () =
   let c = Schedule.copy s in
   Schedule.assign c 0 9;
   Alcotest.(check (option int)) "original unchanged" (Some 1) (Schedule.slot s 0);
-  Alcotest.(check bool) "not equal anymore" false (Schedule.equal s c)
+  Alcotest.(check bool) "not equal anymore" false (Schedule.equal s c);
+  Schedule.clear_slot s 0;
+  Alcotest.(check int) "copy keeps its slot" 9 (Schedule.raw_slot c 0)
 
 let test_schedule_clear () =
   let s = Schedule.of_alist ~n:3 ~sink:2 [ (0, 1); (1, 2) ] in
   Schedule.clear_slot s 0;
   Alcotest.(check (option int)) "cleared" None (Schedule.slot s 0);
-  Alcotest.(check (list (pair int int))) "to_alist" [ (1, 2) ] (Schedule.to_alist s)
+  Alcotest.(check int) "raw cleared" Schedule.none (Schedule.raw_slot s 0);
+  Alcotest.(check bool) "unassigned" false (Schedule.assigned s 0);
+  Alcotest.(check (list (pair int int))) "to_alist" [ (1, 2) ] (Schedule.to_alist s);
+  Schedule.assign s 0 4;
+  Alcotest.(check (option int)) "reassigned" (Some 4) (Schedule.slot s 0)
 
 (* ------------------------------------------------------------------ *)
 (* DAS checkers on a hand-built line: 0 - 1 - 2(sink)                 *)
@@ -876,6 +903,8 @@ let test_schedule_parse_errors () =
   check_error "not-a-schedule\nn 2\nsink 1\n";
   check_error "slp-das-schedule v1\nn 2\nsink 5\n";
   check_error "slp-das-schedule v1\nn 2\nsink 1\n0 one\n";
+  check_error
+    (Printf.sprintf "slp-das-schedule v1\nn 2\nsink 1\n0 %d\n" Schedule.none);
   check_error "slp-das-schedule v1\nn 2\nsink 1\n1 3\n" (* sink assigned *);
   check_error "slp-das-schedule v1\nn 2\nsink 1\n0 3\n0 4\n" (* duplicate *)
 
@@ -1249,6 +1278,8 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_schedule_basic;
           Alcotest.test_case "sink unassignable" `Quick test_schedule_sink_unassignable;
+          Alcotest.test_case "none rejected" `Quick test_schedule_none_rejected;
+          Alcotest.test_case "digest pinned" `Quick test_schedule_digest_pinned;
           Alcotest.test_case "sender sets" `Quick test_schedule_sender_sets;
           Alcotest.test_case "duplicate rejected" `Quick test_schedule_of_alist_duplicate;
           Alcotest.test_case "copy isolated" `Quick test_schedule_copy_isolated;

@@ -120,6 +120,54 @@ let prop_two_hop_matches_bfs =
       let u = Rng.int rng (Graph.n g) in
       Graph.two_hop_neighbourhood g u = naive_two_hop g u)
 
+(* Every row of [two_hop] equals [two_hop_neighbourhood] and the BFS
+   definition. *)
+let two_hop_rows_match g =
+  let rows = Graph.two_hop g in
+  Array.length rows = Graph.n g
+  && List.for_all
+       (fun u ->
+         let row = Array.to_list rows.(u) in
+         row = Graph.two_hop_neighbourhood g u && row = naive_two_hop g u)
+       (List.init (Graph.n g) Fun.id)
+
+let test_two_hop_table_edges () =
+  let empty n = Graph.create ~n [] in
+  Alcotest.(check bool) "n = 0" true (two_hop_rows_match (empty 0));
+  Alcotest.(check bool) "n = 1" true (two_hop_rows_match (empty 1));
+  Alcotest.(check bool) "isolated vertices" true
+    (two_hop_rows_match (Graph.create ~n:6 [ (0, 1); (1, 2); (4, 5) ]))
+
+(* Grids, connected unit disks and sparse random graphs with isolated
+   vertices (n from 0). *)
+let prop_two_hop_table =
+  QCheck.Test.make ~count:300 ~name:"two_hop rows = two_hop_neighbourhood"
+    QCheck.(pair (int_bound 99_999) (int_bound 2))
+    (fun (seed, kind) ->
+      let rng = Rng.create seed in
+      let g =
+        match kind with
+        | 0 -> (Topology.grid (2 + Rng.int rng 9)).Topology.graph
+        | 1 -> (
+          match
+            Topology.random_unit_disk rng ~n:(10 + Rng.int rng 40) ~side:50.0
+              ~range:14.0 ~max_attempts:50
+          with
+          | Some topo -> topo.Topology.graph
+          | None -> (Topology.grid 5).Topology.graph)
+        | _ ->
+          let n = Rng.int rng 30 in
+          let edges =
+            if n = 0 then []
+            else
+              List.init (Rng.int rng (n + 1)) (fun _ ->
+                  (Rng.int rng n, Rng.int rng n))
+              |> List.filter (fun (u, v) -> u <> v)
+          in
+          Graph.create ~n edges
+      in
+      two_hop_rows_match g)
+
 let test_shortest_path_parents () =
   let topo = Topology.grid 3 in
   let g = topo.Topology.graph in
@@ -322,6 +370,9 @@ let () =
           Alcotest.test_case "connected components" `Quick test_connected_components;
           Alcotest.test_case "two-hop path" `Quick test_two_hop_path;
           QCheck_alcotest.to_alcotest prop_two_hop_matches_bfs;
+          Alcotest.test_case "two-hop rows: empty, single, isolated" `Quick
+            test_two_hop_table_edges;
+          QCheck_alcotest.to_alcotest prop_two_hop_table;
           Alcotest.test_case "shortest-path parents" `Quick
             test_shortest_path_parents;
           Alcotest.test_case "shortest path" `Quick test_shortest_path;

@@ -1464,6 +1464,20 @@ let best_of ~k f =
   done;
   !best
 
+(* Words allocated, minor plus direct-to-major (large arrays), as the
+   pipeline benchmark's [alloc_mw] counts them. *)
+let allocated () =
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* Million words one run of [f] allocates, after a warm-up run: a
+   deterministic work count beside the wall clock. *)
+let alloc_mw f =
+  ignore (f ());
+  let w0 = allocated () in
+  ignore (f ());
+  (allocated () -. w0) /. 1e6
+
 let engine_bench () =
   section "Engine throughput: fast hot path vs reference oracle";
   let grid11 = Slpdas_wsn.Topology.grid 11 in
@@ -1499,7 +1513,7 @@ let engine_bench () =
   let measure name f =
     let reference = best_of ~k:5 (f Slpdas_sim.Engine.Reference) in
     let fast = best_of ~k:5 (f Slpdas_sim.Engine.Fast) in
-    (name, reference, fast)
+    (name, reference, fast, alloc_mw (f Slpdas_sim.Engine.Fast))
   in
   let results =
     [
@@ -1508,14 +1522,15 @@ let engine_bench () =
     ]
   in
   emit ~name:"engine_throughput"
-    ~header:[ "scenario"; "reference"; "fast"; "speedup" ]
+    ~header:[ "scenario"; "reference"; "fast"; "speedup"; "fast alloc" ]
     (List.map
-       (fun (name, reference, fast) ->
+       (fun (name, reference, fast, fast_mw) ->
          [
            name;
            Printf.sprintf "%.1f ms" (1000. *. reference);
            Printf.sprintf "%.1f ms" (1000. *. fast);
            Printf.sprintf "%.2fx" (reference /. fast);
+           Printf.sprintf "%.2f Mw" fast_mw;
          ])
        results);
   (try
@@ -1523,15 +1538,17 @@ let engine_bench () =
    with Sys_error _ -> ());
   try
     let oc = open_out (Filename.concat results_dir "BENCH_engine.json") in
-    output_string oc "{\n  \"unit\": \"seconds, best of 5\",\n";
+    output_string oc
+      "{\n  \"unit\": \"seconds, best of 5; fast_mw: million words one \
+       fast run allocates (one domain)\",\n";
     Printf.fprintf oc "  \"host_cores\": %d,\n  \"scenarios\": [\n"
       (Slpdas_util.Pool.recommended ());
     List.iteri
-      (fun i (name, reference, fast) ->
+      (fun i (name, reference, fast, fast_mw) ->
         Printf.fprintf oc
           "    {\"name\": %S, \"reference_s\": %.6f, \"fast_s\": %.6f, \
-           \"speedup\": %.2f}%s\n"
-          name reference fast (reference /. fast)
+           \"speedup\": %.2f, \"fast_mw\": %.3f}%s\n"
+          name reference fast (reference /. fast) fast_mw
           (if i = List.length results - 1 then "" else ","))
       results;
     output_string oc "  ]\n}\n";
@@ -1571,12 +1588,6 @@ let scale () =
       let t0 = Unix.gettimeofday () in
       let v = f () in
       (v, Unix.gettimeofday () -. t0)
-    in
-    (* Words allocated, minor plus direct-to-major (large arrays), as the
-       pipeline benchmark's [alloc_mw] counts them. *)
-    let allocated () =
-      let s = Gc.quick_stat () in
-      Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
     in
     let wall_alloc f =
       let w0 = allocated () in

@@ -13,6 +13,32 @@ type t =
   | Neighbour_down of int
   | Release of { target : int }
 
+let ninfo_equal (a : ninfo) (b : ninfo) = a.hop = b.hop && a.slot = b.slot
+
+let entry_equal ((v : int), a) (w, b) = v = w && Option.equal ninfo_equal a b
+
+let reading_equal ((o : int), (g : int)) (o', g') = o = o' && g = g'
+
+let equal a b =
+  match (a, b) with
+  | Hello, Hello -> true
+  | Dissem a, Dissem b ->
+    Bool.equal a.normal b.normal
+    && Option.equal Int.equal a.parent b.parent
+    && List.equal entry_equal a.info b.info
+  | Search a, Search b -> a.target = b.target && a.ttl = b.ttl
+  | Change a, Change b ->
+    a.target = b.target && a.base_slot = b.base_slot && a.ttl = b.ttl
+  | Data a, Data b ->
+    a.origin = b.origin && a.seq = b.seq
+    && List.equal reading_equal a.readings b.readings
+  | Neighbour_down a, Neighbour_down b -> a = b
+  | Release a, Release b -> a.target = b.target
+  | ( ( Hello | Dissem _ | Search _ | Change _ | Data _ | Neighbour_down _
+      | Release _ ),
+      _ ) ->
+    false
+
 let pp ppf = function
   | Hello -> Format.fprintf ppf "HELLO"
   | Dissem { normal; info; parent } ->

@@ -49,6 +49,9 @@ type t =
           re-anchors and disseminates, the original orphan adopts it as the
           new parent *)
 
+val equal : t -> t -> bool
+(** Structural equality, without the polymorphic [compare] walk. *)
+
 val pp : Format.formatter -> t -> unit
 
 val describe : t -> string

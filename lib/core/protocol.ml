@@ -1,5 +1,152 @@
-module Int_set = Set.Make (Int)
-module Int_map = Map.Make (Int)
+(* ------------------------------------------------------------------ *)
+(* Neighbour tables                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Node sets are sorted, duplicate-free [int array]s; the [Ninfo] and
+   [Others] maps are a sorted key array beside parallel value arrays.  A
+   table held by a state is never written: an update that changes the
+   contents returns a fresh copy, one that does not returns its argument
+   physically, so the handlers stay pure and a no-op reception or round
+   copies no table and no state record.  Every walk runs in ascending key order, the order in
+   which [Set] and [Map] iterate, so payload entries, the candidate lists
+   handed to [Rng.choose] and every draw are what the tree-based tables
+   gave. *)
+module Ids = struct
+  let empty : int array = [||]
+
+  (* Index of [v] in [a.(lo) .. a.(hi - 1)], or [-1 - i] where [i] is the
+     index it would be inserted at. *)
+  let rec search (a : int array) v lo hi =
+    if lo >= hi then -1 - lo
+    else begin
+      let mid = (lo + hi) lsr 1 in
+      let x = Array.unsafe_get a mid in
+      if x = v then mid
+      else if x < v then search a v (mid + 1) hi
+      else search a v lo mid
+    end
+
+  let find a v = search a v 0 (Array.length a)
+
+  let mem a v = find a v >= 0
+
+  let insert_at a i v =
+    let n = Array.length a in
+    let b = Array.make (n + 1) v in
+    Array.blit a 0 b 0 i;
+    Array.blit a i b (i + 1) (n - i);
+    b
+
+  let delete_at a i =
+    let b = Array.sub a 0 (Array.length a - 1) in
+    Array.blit a (i + 1) b i (Array.length b - i);
+    b
+
+  let add a v =
+    let i = find a v in
+    if i >= 0 then a else insert_at a (-1 - i) v
+
+  let remove a v =
+    let i = find a v in
+    if i < 0 then a else delete_at a i
+
+  let diff a b = Array.fold_left remove a b
+
+  let subset a b = Array.for_all (mem b) a
+end
+
+(* Known (hop, slot) per node. *)
+module Ninfo = struct
+  type t = { keys : int array; hops : int array; slots : int array }
+
+  let empty = { keys = Ids.empty; hops = Ids.empty; slots = Ids.empty }
+
+  (* [Ids.find] on the keys: non-negative exactly when [v] is known. *)
+  let index t v = Ids.find t.keys v
+
+  let find t v =
+    let i = index t v in
+    if i < 0 then None else Some { Messages.hop = t.hops.(i); slot = t.slots.(i) }
+
+  let replace (a : int array) i x =
+    if a.(i) = x then a
+    else begin
+      let a = Array.copy a in
+      a.(i) <- x;
+      a
+    end
+
+  let set t v ~hop ~slot =
+    let i = index t v in
+    if i < 0 then begin
+      let i = -1 - i in
+      {
+        keys = Ids.insert_at t.keys i v;
+        hops = Ids.insert_at t.hops i hop;
+        slots = Ids.insert_at t.slots i slot;
+      }
+    end
+    else if t.hops.(i) = hop && t.slots.(i) = slot then t
+    else { t with hops = replace t.hops i hop; slots = replace t.slots i slot }
+
+  let remove t v =
+    let i = index t v in
+    if i < 0 then t
+    else
+      {
+        keys = Ids.delete_at t.keys i;
+        hops = Ids.delete_at t.hops i;
+        slots = Ids.delete_at t.slots i;
+      }
+end
+
+(* Per potential parent, the competitor set its payload revealed. *)
+module Others = struct
+  type t = { parents : int array; competitors : int array array }
+
+  let empty = { parents = Ids.empty; competitors = [||] }
+
+  let find_opt t p =
+    let i = Ids.find t.parents p in
+    if i < 0 then None else Some t.competitors.(i)
+
+  let find t p =
+    let i = Ids.find t.parents p in
+    if i < 0 then Ids.empty else t.competitors.(i)
+
+  let set t p set =
+    let i = Ids.find t.parents p in
+    if i < 0 then begin
+      let i = -1 - i in
+      {
+        parents = Ids.insert_at t.parents i p;
+        competitors = Ids.insert_at t.competitors i set;
+      }
+    end
+    else if t.competitors.(i) == set then t
+    else begin
+      let competitors = Array.copy t.competitors in
+      competitors.(i) <- set;
+      { t with competitors }
+    end
+
+  (* Forget [dead] both as a potential parent and as a competitor. *)
+  let purge t dead =
+    let t =
+      let i = Ids.find t.parents dead in
+      if i < 0 then t
+      else
+        {
+          parents = Ids.delete_at t.parents i;
+          competitors = Ids.delete_at t.competitors i;
+        }
+    in
+    { t with competitors = Array.map (fun c -> Ids.remove c dead) t.competitors }
+end
+
+type ninfo_table = Ninfo.t
+
+type others_table = Others.t
 
 type mode = Protectionless | Slp
 
@@ -47,15 +194,17 @@ let strong_repair_rounds c =
    [resume_chain]). *)
 type chain = { round : int; at : float; armed : bool }
 
+type chain_kind = Dissem_chain | Process_chain
+
 type state = {
   config : config;
   rng : Slpdas_util.Rng.t;
-  neighbours : Int_set.t;
-  npar : Int_set.t;
-  children : Int_set.t;
-  others : Int_set.t Int_map.t;
-  ninfo : Messages.ninfo Int_map.t;
-  unassigned_seen : Int_set.t;
+  neighbours : int array;
+  npar : int array;
+  children : int array;
+  others : others_table;
+  ninfo : ninfo_table;
+  unassigned_seen : int array;
   hop : int option;
   parent : int option;
   slot : int option;
@@ -65,7 +214,7 @@ type state = {
   dissem : chain;
   process : chain;
   search_sent : bool;
-  from_ : Int_set.t;
+  from_ : int array;
   start_node : bool;
   pr : int;
   hello_remaining : int;
@@ -80,7 +229,9 @@ type state = {
       (** sink only: (source, generation period, arrival period) *)
 }
 
-let slot_of_state s = s.slot
+let ninfo s v = Ninfo.find s.ninfo v
+
+let competitors s ~parent = Others.find_opt s.others parent
 
 module Timer = struct
   let hello = Slpdas_gcn.Timer.intern "hello"
@@ -96,11 +247,9 @@ end
    engine models transmission airtime; harmless otherwise).  Derived from a
    stateless hash so it does not perturb the per-node random streams. *)
 let dissem_jitter c ~node ~round =
-  let r =
-    Slpdas_util.Rng.create
-      ((c.run_seed * 31) lxor (node * 2_097_593) lxor (round * 613))
-  in
-  Slpdas_util.Rng.float r (0.3 *. c.dissemination_period)
+  Slpdas_util.Rng.first_float
+    ((c.run_seed * 31) lxor (node * 2_097_593) lxor (round * 613))
+    (0.3 *. c.dissemination_period)
 
 (* Gap between dissemination rounds [round] and [round + 1], so that
    successive fires land on das_start + r·Pdiss + jitter(r).  Chain times
@@ -110,8 +259,6 @@ let dissem_step c ~node ~round =
   c.dissemination_period
   -. dissem_jitter c ~node ~round
   +. dissem_jitter c ~node ~round:(round + 1)
-
-let process_step c ~node:_ ~round:_ = c.dissemination_period
 
 (* Boot-relative time of each chain's round 0; the process action runs at
    80% of each dissemination round. *)
@@ -124,34 +271,56 @@ let process_boot c = das_start c +. (c.dissemination_period *. 0.8)
    for the arrival-order noise that randomises ranks in the paper's TOSSIM
    runs. *)
 let rank_key ~seed ~parent ~node =
-  let r =
-    Slpdas_util.Rng.create
-      ((seed * 1_000_003) lxor (parent * 8191) lxor (node * 131))
-  in
-  Int64.to_int (Int64.logand (Slpdas_util.Rng.bits64 r) 0x3FFFFFFFFFFFFFFFL)
+  Slpdas_util.Rng.first_bits62
+    ((seed * 1_000_003) lxor (parent * 8191) lxor (node * 131))
 
-let ninfo_slot s v =
-  match Int_map.find_opt v s.ninfo with
-  | Some { Messages.slot; _ } -> Some slot
-  | None -> None
+let is_sink s v = v = s.config.sink
 
-let ninfo_hop s v =
-  match Int_map.find_opt v s.ninfo with
-  | Some { Messages.hop; _ } -> Some hop
-  | None -> None
+let is_slp c = match c.mode with Slp -> true | Protectionless -> false
+
+(* [parent = Some v], without building the option. *)
+let points_to (parent : int option) v = match parent with Some p -> p = v | None -> false
+
+(* Slot of [v] as known to [s], or [default] when ⊥. *)
+let slot_or s v ~default =
+  let i = Ninfo.index s.ninfo v in
+  if i < 0 then default else s.ninfo.Ninfo.slots.(i)
+
+let hop_or s v ~default =
+  let i = Ninfo.index s.ninfo v in
+  if i < 0 then default else s.ninfo.Ninfo.hops.(i)
 
 (* min{Ninfo[j].slot | j ∈ myN} ∪ {slot}: the neighbourhood slot floor used
    by Phase 3 (Figs. 3–4). *)
 let neighbourhood_min_slot s =
-  let candidates =
-    Int_set.fold
-      (fun v acc -> match ninfo_slot s v with Some x -> x :: acc | None -> acc)
-      s.neighbours
-      (match s.slot with Some x -> [ x ] | None -> [])
-  in
-  match candidates with
+  let floor = ref (Option.value ~default:max_int s.slot) in
+  let known = ref (Option.is_some s.slot) in
+  for k = 0 to Array.length s.neighbours - 1 do
+    let i = Ninfo.index s.ninfo s.neighbours.(k) in
+    if i >= 0 then begin
+      known := true;
+      floor := Int.min !floor s.ninfo.Ninfo.slots.(i)
+    end
+  done;
+  if !known then Some !floor else None
+
+(* The sender's own entry of a dissemination payload when it announces
+   itself assigned: the payload's option itself, not a copy. *)
+let rec sender_info ~(sender : int) = function
   | [] -> None
-  | x :: rest -> Some (List.fold_left min x rest)
+  | (v, (Some _ as entry)) :: _ when v = sender -> entry
+  | _ :: rest -> sender_info ~sender rest
+
+let rec sender_unassigned ~(sender : int) = function
+  | [] -> false
+  | (v, None) :: _ when v = sender -> true
+  | _ :: rest -> sender_unassigned ~sender rest
+
+(* [set] plus every node a payload reports unassigned. *)
+let rec add_unassigned set = function
+  | [] -> set
+  | (v, None) :: rest -> add_unassigned (Ids.add set v) rest
+  | (_, Some _) :: rest -> add_unassigned set rest
 
 (* Monotone merge of received Ninfo: slots only ever decrease in this
    protocol (collision resolution, updates, refinement), so "lowest slot
@@ -168,33 +337,25 @@ let neighbourhood_min_slot s =
    two nodes each believing the other closer chase each other's slots down
    without bound.  With owner-consistent hops any such cycle needs
    h(a) < h(b) < ... < h(a), which is impossible. *)
-let merge_info s ~sender info =
-  List.fold_left
-    (fun (ninfo, unassigned) (v, entry) ->
-      match entry with
-      | None -> (ninfo, Int_set.add v unassigned)
-      | Some (incoming : Messages.ninfo) ->
-        let merged =
-          if v = sender then incoming
-          else
-            match Int_map.find_opt v ninfo with
-            | None -> incoming
-            | Some existing ->
-              { existing with Messages.slot = min existing.Messages.slot incoming.Messages.slot }
-        in
-        (Int_map.add v merged ninfo, unassigned))
-    (s.ninfo, s.unassigned_seen)
-    info
+let rec merge_info ninfo ~sender = function
+  | [] -> ninfo
+  | (_, None) :: rest -> merge_info ninfo ~sender rest
+  | (v, Some (incoming : Messages.ninfo)) :: rest ->
+    let i = Ninfo.index ninfo v in
+    let ninfo =
+      if v = sender || i < 0 then
+        Ninfo.set ninfo v ~hop:incoming.Messages.hop ~slot:incoming.Messages.slot
+      else
+        Ninfo.set ninfo v ~hop:ninfo.Ninfo.hops.(i)
+          ~slot:(Int.min ninfo.Ninfo.slots.(i) incoming.Messages.slot)
+    in
+    merge_info ninfo ~sender rest
 
 let set_self_info ~self s =
   match (s.hop, s.slot) with
-  | Some hop, Some slot ->
-    { s with ninfo = Int_map.add self { Messages.hop; slot } s.ninfo }
-  | Some hop, None when self = s.config.sink ->
-    {
-      s with
-      ninfo = Int_map.add self { Messages.hop; slot = s.config.num_slots } s.ninfo;
-    }
+  | Some hop, Some slot -> { s with ninfo = Ninfo.set s.ninfo self ~hop ~slot }
+  | Some hop, None when is_sink s self ->
+    { s with ninfo = Ninfo.set s.ninfo self ~hop ~slot:s.config.num_slots }
   | _ -> s
 
 (* ------------------------------------------------------------------ *)
@@ -202,29 +363,31 @@ let set_self_info ~self s =
 (* ------------------------------------------------------------------ *)
 
 let dissem_payload ~self s =
-  let entries =
-    List.map
-      (fun v -> (v, Int_map.find_opt v s.ninfo))
-      (Int_set.elements s.neighbours)
-  in
-  let self_entry = (self, Int_map.find_opt self s.ninfo) in
-  Messages.Dissem { normal = s.normal; info = entries @ [ self_entry ]; parent = s.parent }
+  let info = ref [ (self, Ninfo.find s.ninfo self) ] in
+  for i = Array.length s.neighbours - 1 downto 0 do
+    let v = s.neighbours.(i) in
+    info := (v, Ninfo.find s.ninfo v) :: !info
+  done;
+  Messages.Dissem { normal = s.normal; info = !info; parent = s.parent }
 
 (* ------------------------------------------------------------------ *)
 (* Receive handlers                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let on_hello ~self:_ s ~sender =
-  { s with neighbours = Int_set.add sender s.neighbours }
+  let neighbours = Ids.add s.neighbours sender in
+  if neighbours == s.neighbours then s else { s with neighbours }
 
-let common_dissem_update ~self s ~sender ~info ~sender_parent =
-  let s = { s with neighbours = Int_set.add sender s.neighbours } in
+let common_dissem_update ~(self : int) s ~sender ~info ~sender_parent =
+  let neighbours = Ids.add s.neighbours sender in
   let children =
-    if sender_parent = Some self then Int_set.add sender s.children
-    else if sender_parent <> None then Int_set.remove sender s.children
-    else s.children
+    match sender_parent with
+    | Some p when p = self -> Ids.add s.children sender
+    | Some _ -> Ids.remove s.children sender
+    | None -> s.children
   in
-  let ninfo, unassigned_seen = merge_info s ~sender info in
+  let ninfo = merge_info s.ninfo ~sender info in
+  let unassigned_seen = add_unassigned s.unassigned_seen info in
   (* A sender advertising *itself* as ⊥ has dropped its assignment (orphan
      repair; see [on_neighbour_down]).  The monotone merge above cannot
      express that — slots only ever decrease — so trust the owner and purge
@@ -233,12 +396,14 @@ let common_dissem_update ~self s ~sender ~info ~sender_parent =
      dissemination budget so converged nodes answer the orphan's ⊥
      announcement.  Third-party [None] entries (neighbours the sender merely
      has not heard from) are still only recorded in [unassigned_seen]. *)
-  let sender_unassigned =
-    List.exists (fun (v, e) -> v = sender && e = None) info
-  in
-  let ninfo = if sender_unassigned then Int_map.remove sender ninfo else ninfo in
-  let npar = if sender_unassigned then Int_set.remove sender s.npar else s.npar in
-  { s with children; ninfo; unassigned_seen; npar }
+  let gone = sender_unassigned ~sender info in
+  let ninfo = if gone then Ninfo.remove ninfo sender else ninfo in
+  let npar = if gone then Ids.remove s.npar sender else s.npar in
+  if
+    neighbours == s.neighbours && children == s.children && ninfo == s.ninfo
+    && unassigned_seen == s.unassigned_seen && npar == s.npar
+  then s
+  else { s with neighbours; children; ninfo; unassigned_seen; npar }
 
 (* Record an assigned sender as a potential parent, together with the
    competitor set its payload reveals (the [Others] map that later decides
@@ -248,29 +413,19 @@ let common_dissem_update ~self s ~sender ~info ~sender_parent =
    neighbour adopts a slotless parent — but during orphan repair our
    children do re-disseminate while we are slotless. *)
 let record_candidate s ~sender ~info =
-  let competitors =
-    List.filter_map (fun (v, e) -> if e = None then Some v else None) info
-  in
   let others =
-    let existing =
-      Option.value ~default:Int_set.empty (Int_map.find_opt sender s.others)
-    in
-    Int_map.add sender
-      (List.fold_left (fun acc v -> Int_set.add v acc) existing competitors)
-      s.others
+    Others.set s.others sender (add_unassigned (Others.find s.others sender) info)
   in
-  { s with npar = Int_set.add sender s.npar; others }
-
-let sender_assigned_in ~sender info =
-  List.exists (fun (v, e) -> v = sender && e <> None) info
+  let npar = Ids.add s.npar sender in
+  if others == s.others && npar == s.npar then s else { s with npar; others }
 
 (* receiveN of Fig. 2: a normal dissemination. *)
 let on_dissem_normal ~self s ~sender ~info ~sender_parent =
   let s =
     if
-      s.slot = None
-      && sender_assigned_in ~sender info
-      && not (Int_set.mem sender s.children)
+      Option.is_none s.slot
+      && Option.is_some (sender_info ~sender info)
+      && not (Ids.mem s.children sender)
     then record_candidate s ~sender ~info
     else s
   in
@@ -279,12 +434,13 @@ let on_dissem_normal ~self s ~sender ~info ~sender_parent =
 (* Weak-DAS check from local knowledge: does some neighbour (or the sink)
    transmit later than us?  While it does, our data still makes progress and
    no repair is needed (Def. 3). *)
-let has_forwarder ~self:_ s ~mine =
-  Int_set.exists
-    (fun m ->
-      m = s.config.sink
-      || match ninfo_slot s m with Some ms -> ms > mine | None -> false)
-    s.neighbours
+let has_forwarder s ~mine =
+  let found = ref false in
+  for i = 0 to Array.length s.neighbours - 1 do
+    let m = s.neighbours.(i) in
+    if is_sink s m || slot_or s m ~default:min_int > mine then found := true
+  done;
+  !found
 
 (* receiveU of Fig. 2: an update dissemination from the parent re-lowers our
    slot and cascades the update phase — but only when the change actually
@@ -294,6 +450,7 @@ let has_forwarder ~self:_ s ~mine =
    update is meant to protect. *)
 let on_dissem_update ~self s ~sender ~info ~sender_parent =
   let s = common_dissem_update ~self s ~sender ~info ~sender_parent in
+  let sender_entry = sender_info ~sender info in
   (* During orphan repair ([slot = None] while in update mode, a state the
      fault-free protocol never reaches) the neighbours we can re-anchor to
      mostly announce themselves through *update* disseminations — they are
@@ -303,23 +460,17 @@ let on_dissem_update ~self s ~sender ~info ~sender_parent =
      (its [parent] points away from us) is admissible again. *)
   let s =
     if
-      s.slot = None && (not s.normal)
-      && self <> s.config.sink
-      && sender_assigned_in ~sender info
-      && (not (Int_set.mem sender s.children))
-      && sender_parent <> Some self
+      Option.is_none s.slot && (not s.normal)
+      && (not (is_sink s self))
+      && Option.is_some sender_entry
+      && (not (Ids.mem s.children sender))
+      && not (points_to sender_parent self)
     then record_candidate s ~sender ~info
     else s
   in
-  let sender_slot =
-    List.find_map
-      (fun (v, e) ->
-        if v = sender then Option.map (fun n -> n.Messages.slot) e else None)
-      info
-  in
-  match (s.parent, s.slot, sender_slot) with
-  | Some p, Some mine, Some ps
-    when p = sender && mine >= ps && not (has_forwarder ~self s ~mine) ->
+  match (s.parent, s.slot, sender_entry) with
+  | Some p, Some mine, Some { Messages.slot = ps; _ }
+    when p = sender && mine >= ps && not (has_forwarder s ~mine) ->
     let s = { s with slot = Some (ps - 1); normal = false } in
     let s = set_self_info ~self s in
     { s with dissem_budget = s.config.dissemination_timeout }
@@ -362,28 +513,21 @@ let orphan ~self s =
       hop = None;
       normal = false;
       dissem_budget = s.config.dissemination_timeout;
-      ninfo = Int_map.remove self s.ninfo;
-      npar = Int_set.diff s.npar s.children;
+      ninfo = Ninfo.remove s.ninfo self;
+      npar = Ids.diff s.npar s.children;
     }
   in
-  if
-    (not (Int_set.is_empty s.neighbours))
-    && Int_set.subset s.neighbours s.children
-  then begin
-    let best =
-      Int_set.fold
-        (fun c acc ->
-          let key = ((match ninfo_hop s c with Some h -> h | None -> max_int), c) in
-          match acc with
-          | Some best when Slpdas_util.Order.int_pair best key <= 0 -> acc
-          | _ -> Some key)
-        s.neighbours None
-    in
-    match best with
-    | None -> (s, [])
-    | Some (_, c) ->
-      ( { s with children = Int_set.remove c s.children },
-        [ Slpdas_gcn.Broadcast (Messages.Release { target = c }) ] )
+  if Array.length s.neighbours > 0 && Ids.subset s.neighbours s.children then begin
+    (* The child with the lowest (hop, id), unknown hops last. *)
+    let best = ref s.neighbours.(0) in
+    Array.iter
+      (fun c ->
+        if hop_or s c ~default:max_int < hop_or s !best ~default:max_int then
+          best := c)
+      s.neighbours;
+    let c = !best in
+    ( { s with children = Ids.remove s.children c },
+      [ Slpdas_gcn.Broadcast (Messages.Release { target = c }) ] )
   end
   else (s, [])
 
@@ -393,20 +537,16 @@ let on_neighbour_down ~self s ~dead =
     let s =
       {
         s with
-        neighbours = Int_set.remove dead s.neighbours;
-        npar = Int_set.remove dead s.npar;
-        children = Int_set.remove dead s.children;
-        others =
-          Int_map.filter_map
-            (fun p competitors ->
-              if p = dead then None else Some (Int_set.remove dead competitors))
-            s.others;
-        ninfo = Int_map.remove dead s.ninfo;
-        unassigned_seen = Int_set.remove dead s.unassigned_seen;
-        from_ = Int_set.remove dead s.from_;
+        neighbours = Ids.remove s.neighbours dead;
+        npar = Ids.remove s.npar dead;
+        children = Ids.remove s.children dead;
+        others = Others.purge s.others dead;
+        ninfo = Ninfo.remove s.ninfo dead;
+        unassigned_seen = Ids.remove s.unassigned_seen dead;
+        from_ = Ids.remove s.from_ dead;
       }
     in
-    if s.parent = Some dead && self <> s.config.sink then orphan ~self s
+    if points_to s.parent dead && not (is_sink s self) then orphan ~self s
     else (s, [])
   end
 
@@ -416,13 +556,13 @@ let on_neighbour_down ~self s ~dead =
    receiveF the ex-parent is alive, so it stays in [neighbours]; it will
    re-adopt us as *its* parent once we re-anchor and disseminate. *)
 let on_release ~self s ~sender ~target =
-  if target <> self || s.parent <> Some sender then (s, [])
+  if target <> self || not (points_to s.parent sender) then (s, [])
   else
     orphan ~self
       {
         s with
-        npar = Int_set.remove sender s.npar;
-        ninfo = Int_map.remove sender s.ninfo;
+        npar = Ids.remove s.npar sender;
+        ninfo = Ninfo.remove s.ninfo sender;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -430,47 +570,39 @@ let on_release ~self s ~sender ~target =
 (* ------------------------------------------------------------------ *)
 
 let choose_parent_and_slot ~self s =
-  if s.slot <> None || Int_set.is_empty s.npar then s
+  if Option.is_some s.slot || Array.length s.npar = 0 then s
   else begin
-    let hops =
-      Int_set.fold
-        (fun k acc ->
-          if Int_set.mem k s.children then acc
-          else
-            match ninfo_hop s k with Some h -> (k, h) :: acc | None -> acc)
-        s.npar []
-    in
-    match hops with
-    | [] -> s
-    | (k0, h0) :: rest ->
-      let min_hop = List.fold_left (fun acc (_, h) -> min acc h) h0 rest in
-      let candidates =
-        List.filter_map
-          (fun (k, h) -> if h = min_hop then Some k else None)
-          ((k0, h0) :: rest)
-        |> List.sort Int.compare
-      in
-      let parent = Slpdas_util.Rng.choose s.rng candidates in
-      let competitors =
-        Int_set.add self
-          (Option.value ~default:Int_set.empty (Int_map.find_opt parent s.others))
-      in
-      let order =
-        Int_set.elements competitors
-        |> List.map (fun v ->
-               (rank_key ~seed:s.config.run_seed ~parent ~node:v, v))
-        |> List.sort Slpdas_util.Order.int_pair
-        |> List.map snd
-      in
-      let rec index i = function
-        | [] -> 0
-        | v :: rest -> if v = self then i else index (i + 1) rest
-      in
-      let rank = index 0 order in
-      let parent_slot =
-        match ninfo_slot s parent with Some x -> x | None -> s.config.num_slots
-      in
-      let slot = parent_slot - rank - 1 in
+    let min_hop = ref max_int and eligible = ref false in
+    for i = 0 to Array.length s.npar - 1 do
+      let k = s.npar.(i) in
+      if (not (Ids.mem s.children k)) && Ninfo.index s.ninfo k >= 0 then begin
+        eligible := true;
+        min_hop := Int.min !min_hop (hop_or s k ~default:max_int)
+      end
+    done;
+    if not !eligible then s
+    else begin
+      let min_hop = !min_hop in
+      let candidates = ref [] in
+      for i = Array.length s.npar - 1 downto 0 do
+        let k = s.npar.(i) in
+        if (not (Ids.mem s.children k)) && Ninfo.index s.ninfo k >= 0
+           && hop_or s k ~default:max_int = min_hop
+        then candidates := k :: !candidates
+      done;
+      let parent = Slpdas_util.Rng.choose s.rng !candidates in
+      (* Our rank: our position among the parent's competitors (us
+         included) ordered by (rank key, id). *)
+      let key v = rank_key ~seed:s.config.run_seed ~parent ~node:v in
+      let mine = key self in
+      let rank = ref 0 in
+      Array.iter
+        (fun v ->
+          let k = key v in
+          if k < mine || (k = mine && v < self) then incr rank)
+        (Ids.add (Others.find s.others parent) self);
+      let parent_slot = slot_or s parent ~default:s.config.num_slots in
+      let slot = parent_slot - !rank - 1 in
       let s =
         {
           s with
@@ -481,6 +613,7 @@ let choose_parent_and_slot ~self s =
         }
       in
       set_self_info ~self s
+    end
   end
 
 (* Self-repair: keep our slot strictly below the parent's (update mode), and
@@ -497,22 +630,22 @@ let repair_slot ~self ~strong s =
   match s.slot with
   | None -> s
   | Some mine ->
+    let t = s.ninfo in
     let parent_bound =
       match s.parent with
       | Some p ->
-        begin match ninfo_slot s p with
-        | Some ps when mine >= ps -> Some (ps - 1)
-        | Some _ | None -> None
-        end
+        let i = Ninfo.index t p in
+        if i >= 0 && mine >= t.Ninfo.slots.(i) then Some (t.Ninfo.slots.(i) - 1)
+        else None
       | None -> None
     in
+    let my_hop = Option.value ~default:max_int s.hop in
     let lowered =
       if not strong then
         (* Weak mode (from Phase 2 onwards): repair only an actual weak-DAS
            violation, for the same reason as in [on_dissem_update]. *)
-        if has_forwarder ~self s ~mine then None else parent_bound
+        if has_forwarder s ~mine then None else parent_bound
       else begin
-        let my_hop = Option.value ~default:max_int s.hop in
         (* Own children never bound us from below.  After an orphan
            re-anchors on a longer path its hop can exceed a child's (the
            child kept the hop of the old, shorter tree), and "stay below
@@ -522,43 +655,42 @@ let repair_slot ~self ~strong s =
            tree edge regardless of its hop, so the constraint buys nothing.
            Fault-free schedules never trigger this: a child's hop is always
            parent hop + 1 there. *)
-        let closer_min =
-          Int_set.fold
-            (fun v acc ->
-              if Int_set.mem v s.children then acc
-              else
-                match Int_map.find_opt v s.ninfo with
-                | Some { Messages.hop; slot } when hop = my_hop - 1 ->
-                  Some (match acc with None -> slot | Some m -> min m slot)
-                | Some _ | None -> acc)
-            s.neighbours None
-        in
-        match (parent_bound, closer_min) with
-        | _, Some bound when mine >= bound ->
-          let candidate = bound - 1 in
+        let closer_min = ref max_int and closer = ref false in
+        for i = 0 to Array.length s.neighbours - 1 do
+          let v = s.neighbours.(i) in
+          let j = Ninfo.index t v in
+          if j >= 0 && (not (Ids.mem s.children v)) && t.Ninfo.hops.(j) = my_hop - 1
+          then begin
+            closer := true;
+            closer_min := Int.min !closer_min t.Ninfo.slots.(j)
+          end
+        done;
+        if !closer && mine >= !closer_min then
           Some
             (match parent_bound with
-            | Some pb -> min pb candidate
-            | None -> candidate)
-        | pb, _ -> pb
+            | Some pb -> Int.min pb (!closer_min - 1)
+            | None -> !closer_min - 1)
+        else parent_bound
       end
     in
     let lowered =
       match lowered with
       | Some _ -> lowered
       | None ->
-        let my_hop = Option.value ~default:max_int s.hop in
-        let key v =
-          Das_build.node_order_key ~salt:s.config.run_seed v
-        in
-        let collision =
-          Int_map.exists
-            (fun j { Messages.hop = jh; slot = js } ->
-              j <> self && js = mine
-              && (my_hop, key self, self) > (jh, key j, j))
-            s.ninfo
-        in
-        if collision then Some (mine - 1) else None
+        (* A 2-hop collision we lose: some other node on our slot is
+           ordered before us by (hop, order key, id). *)
+        let key v = Das_build.node_order_key ~salt:s.config.run_seed v in
+        let collision = ref false in
+        for j = 0 to Array.length t.Ninfo.keys - 1 do
+          let v = t.Ninfo.keys.(j) and jh = t.Ninfo.hops.(j) in
+          if v <> self && t.Ninfo.slots.(j) = mine
+             && (my_hop > jh
+                || my_hop = jh
+                   && (let ks = key self and kv = key v in
+                       ks > kv || (ks = kv && self > v)))
+          then collision := true
+        done;
+        if !collision then Some (mine - 1) else None
     in
     begin match lowered with
     | None -> s
@@ -578,24 +710,36 @@ let repair_slot ~self ~strong s =
 (* Phases 2 and 3                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let min_slot_child s =
-  let candidates =
-    Int_set.fold
-      (fun c acc ->
-        match ninfo_slot s c with Some x -> (x, c) :: acc | None -> acc)
-      s.children []
-  in
-  match List.sort Slpdas_util.Order.int_pair candidates with
-  | [] -> None
-  | (_, c) :: _ -> Some c
+(* The member of [nodes] with the lowest known (slot, id). *)
+let lowest_slotted s nodes =
+  let best = ref None and best_slot = ref max_int in
+  for k = 0 to Array.length nodes - 1 do
+    let v = nodes.(k) in
+    let i = Ninfo.index s.ninfo v in
+    if i >= 0 && (Option.is_none !best || s.ninfo.Ninfo.slots.(i) < !best_slot)
+    then begin
+      best := Some v;
+      best_slot := s.ninfo.Ninfo.slots.(i)
+    end
+  done;
+  !best
 
-let alternates s =
-  let base = Int_set.diff s.npar s.from_ in
-  match s.parent with Some p -> Int_set.remove p base | None -> base
+let min_slot_child s = lowest_slotted s s.children
+
+(* [nodes] without our parent and without the senders of tokens seen. *)
+let off_path s nodes =
+  let nodes = match s.parent with Some p -> Ids.remove nodes p | None -> nodes in
+  Ids.diff nodes s.from_
+
+let alternates s = off_path s s.npar
+
+let record_from s ~sender =
+  let from_ = Ids.add s.from_ sender in
+  if from_ == s.from_ then s else { s with from_ }
 
 (* receiveS of Fig. 3. *)
-let on_search ~self s ~sender ~target ~ttl =
-  let s = { s with from_ = Int_set.add sender s.from_ } in
+let on_search ~self s ~sender ~(target : int) ~ttl =
+  let s = record_from s ~sender in
   if self <> target then (s, [])
   else if ttl > 0 then begin
     let next =
@@ -604,40 +748,24 @@ let on_search ~self s ~sender ~target ~ttl =
       | None ->
         (* No children: fall back to the lowest-slotted neighbour that is
            neither our parent nor on the search path. *)
-        let eligible =
-          Int_set.elements
-            (Int_set.diff
-               (match s.parent with
-               | Some p -> Int_set.remove p s.neighbours
-               | None -> s.neighbours)
-               s.from_)
-          |> List.filter_map (fun v ->
-                 Option.map (fun x -> (x, v)) (ninfo_slot s v))
-          |> List.sort Slpdas_util.Order.int_pair
-        in
-        (match eligible with [] -> None | (_, v) :: _ -> Some v)
+        lowest_slotted s (off_path s s.neighbours)
     in
     match next with
     | None -> (s, [])
     | Some next ->
       (s, [ Slpdas_gcn.Broadcast (Messages.Search { target = next; ttl = ttl - 1 }) ])
   end
-  else if not (Int_set.is_empty (alternates s)) then
+  else if Array.length (alternates s) > 0 then
     ({ s with start_node = true; pr = s.config.change_length }, [])
   else begin
     (* ttl = 0 with no alternate parent: keep forwarding until a suitable
        node is found (Fig. 3, final branch). *)
-    let eligible set = Int_set.elements (Int_set.diff set s.from_) in
     let pool =
-      match eligible s.children with
-      | [] ->
-        eligible
-          (match s.parent with
-          | Some p -> Int_set.remove p s.neighbours
-          | None -> s.neighbours)
+      match Ids.diff s.children s.from_ with
+      | [||] -> off_path s s.neighbours
       | children -> children
     in
-    match pool with
+    match Array.to_list pool with
     | [] -> (s, [])
     | pool ->
       let next = Slpdas_util.Rng.choose s.rng pool in
@@ -647,7 +775,7 @@ let on_search ~self s ~sender ~target ~ttl =
 (* startR of Fig. 4 (spontaneous: fires once when selected). *)
 let start_refine ~self:_ s =
   let s = { s with start_node = false } in
-  match Int_set.elements (alternates s) with
+  match Array.to_list (alternates s) with
   | [] -> (s, [])
   | candidates ->
     let target = Slpdas_util.Rng.choose s.rng candidates in
@@ -663,7 +791,7 @@ let start_refine ~self:_ s =
 
 (* receiveC of Fig. 4. *)
 let on_change ~self s ~sender ~target ~base_slot ~ttl =
-  let s = { s with from_ = Int_set.add sender s.from_ } in
+  let s = record_from s ~sender in
   if self <> target then (s, [])
   else begin
     (* Take a slot below everything audible around the nominator and enter
@@ -677,7 +805,7 @@ let on_change ~self s ~sender ~target ~base_slot ~ttl =
         slot =
           Some
             (match s.slot with
-            | Some mine -> min mine (base_slot - s.config.refine_gap)
+            | Some mine -> Int.min mine (base_slot - s.config.refine_gap)
             | None -> base_slot - s.config.refine_gap);
         normal = false;
         dissem_budget = s.config.dissemination_timeout;
@@ -686,15 +814,7 @@ let on_change ~self s ~sender ~target ~base_slot ~ttl =
     let s = set_self_info ~self s in
     if ttl <= 0 then (s, [])
     else begin
-      let pool =
-        Int_set.elements
-          (Int_set.diff
-             (match s.parent with
-             | Some p -> Int_set.remove p s.neighbours
-             | None -> s.neighbours)
-             s.from_)
-      in
-      match pool with
+      match Array.to_list (off_path s s.neighbours) with
       | [] -> (s, [])
       | pool ->
         let next = Slpdas_util.Rng.choose s.rng pool in
@@ -749,65 +869,83 @@ let on_hello_timer s =
    carries a received message, so it already ran as a no-op.  (A harness
    injection landing exactly on a chain time is resolved the same way,
    although without parking a harness callback queued before that round's
-   timer would have run first.) *)
-let resume_chain ~timer ~step ~node c chain =
-  let rounds = setup_rounds c in
-  if chain.armed || chain.round >= rounds then (chain, [])
-  else begin
-    let now = Slpdas_gcn.now () in
-    let rec catch_up round at =
-      if round < rounds && at <= now then
-        catch_up (round + 1) (at +. step c ~node ~round)
-      else (round, at)
-    in
-    let round, at = catch_up chain.round chain.at in
-    if round >= rounds then ({ chain with round; at }, [])
-    else ({ round; at; armed = true }, [ Slpdas_gcn.Set_timer_at { timer; at } ])
-  end
+   timer would have run first.)
 
-let resume_dissem ~self s =
-  let dissem, effects =
-    resume_chain ~timer:Timer.dissem ~step:dissem_step ~node:self s.config
-      s.dissem
-  in
-  ((if dissem == s.dissem then s else { s with dissem }), effects)
+   The replay is one loop per chain.  A dissem gap is
+   [Pdiss -. jitter r +. jitter (r + 1)], so the loop carries
+   [jitter (r + 1)] into the next round and draws one jitter per round; the
+   process gap is the constant [Pdiss]. *)
+let catch_up_rounds c kind ~rounds ~node ~now (chain : chain) =
+  let round = ref chain.round and at = ref chain.at in
+  (match kind with
+  | Process_chain ->
+    while !round < rounds && !at <= now do
+      at := !at +. c.dissemination_period;
+      incr round
+    done
+  | Dissem_chain ->
+    if !round < rounds && !at <= now then begin
+      let jitter = ref (dissem_jitter c ~node ~round:!round) in
+      while !round < rounds && !at <= now do
+        let next = dissem_jitter c ~node ~round:(!round + 1) in
+        at := !at +. (c.dissemination_period -. !jitter +. next);
+        jitter := next;
+        incr round
+      done
+    end);
+  { round = !round; at = !at; armed = !round < rounds }
 
-let resume_process ~self s =
-  if self = s.config.sink then (s, [])
-  else begin
-    let process, effects =
-      resume_chain ~timer:Timer.process ~step:process_step ~node:self s.config
-        s.process
-    in
-    ((if process == s.process then s else { s with process }), effects)
-  end
+let catch_up c kind ~node ~now chain =
+  catch_up_rounds c kind ~rounds:(setup_rounds c) ~node ~now chain
+
+(* A parked chain woken now; any other chain is returned as is. *)
+let resume_chain c kind ~rounds ~node (chain : chain) =
+  if chain.armed || chain.round >= rounds then chain
+  else catch_up_rounds c kind ~rounds ~node ~now:(Slpdas_gcn.now ()) chain
+
+(* The arming of a chain that [resume_chain] woke, in front of [rest]. *)
+let arm_woken timer ~was (chain : chain) rest =
+  if chain != was && chain.armed then
+    Slpdas_gcn.Set_timer_at { timer; at = chain.at } :: rest
+  else rest
+
+let resume_dissem ~rounds ~self s =
+  let dissem = resume_chain s.config Dissem_chain ~rounds ~node:self s.dissem in
+  if dissem == s.dissem then (s, [])
+  else ({ s with dissem }, arm_woken Timer.dissem ~was:s.dissem dissem [])
 
 (* The next position of a chain whose round [round] fires now, [after]
    seconds before the next; armed while rounds remain. *)
-let next_round c ~round ~after =
+let next_round ~rounds ~round ~after =
   {
     round = round + 1;
     at = Slpdas_gcn.now () +. after;
-    armed = round + 1 < setup_rounds c;
+    armed = round + 1 < rounds;
   }
 
-let on_dissem_timer ~self s =
+let on_dissem_timer ~rounds ~self s =
   (* Firing at round r (jittered); rearm for round r+1 so that the absolute
      fire times are das_start + r·Pdiss + jitter(r). *)
   let round = s.dissem.round in
   let after = dissem_step s.config ~node:self ~round in
-  let next = next_round s.config ~round ~after in
+  let next = next_round ~rounds ~round ~after in
   let parked = { s with dissem = { next with armed = false } } in
   (* A slotless node in update mode is an orphan mid-repair (see [orphan]):
      it must broadcast its ⊥ announcement or converged neighbours never
      learn they have to answer.  Slotless *normal*-mode nodes are ordinary
      Phase-1 joiners and stay silent, as in the paper. *)
-  let repairing = s.slot = None && (not s.normal) && self <> s.config.sink in
-  let eligible = s.slot <> None || self = s.config.sink || repairing in
+  let repairing =
+    Option.is_none s.slot && (not s.normal) && not (is_sink s self)
+  in
+  let eligible = Option.is_some s.slot || is_sink s self || repairing in
   if not eligible then (parked, [])
   else begin
     let payload = dissem_payload ~self s in
-    let changed = s.last_sent <> Some payload in
+    let changed =
+      match s.last_sent with
+      | Some last -> not (Messages.equal last payload)
+      | None -> true
+    in
     let budget =
       if changed then s.config.dissemination_timeout else s.dissem_budget
     in
@@ -835,17 +973,14 @@ let on_dissem_timer ~self s =
     end
   end
 
-let on_process_timer ~self s =
+let on_process_timer ~rounds ~strong_rounds ~self s =
   let round = s.process.round in
-  let after = process_step s.config ~node:self ~round in
-  let next = next_round s.config ~round ~after in
+  let after = s.config.dissemination_period in
+  let next = next_round ~rounds ~round ~after in
   let parked = { next with armed = false } in
-  if self = s.config.sink then ({ s with process = parked }, [])
+  if is_sink s self then ({ s with process = parked }, [])
   else begin
-    let strong =
-      s.config.mode = Protectionless
-      || round + 1 < strong_repair_rounds s.config
-    in
+    let strong = (not (is_slp s.config)) || round + 1 < strong_rounds in
     let s' = repair_slot ~self ~strong (choose_parent_and_slot ~self s) in
     if
       s'.slot == s.slot && s'.parent == s.parent && s'.hop == s.hop
@@ -857,13 +992,13 @@ let on_process_timer ~self s =
           [ Slpdas_gcn.Set_timer { timer = Timer.process; after } ]
         else []
       in
-      let s, wake = resume_dissem ~self { s' with process = next } in
+      let s, wake = resume_dissem ~rounds ~self { s' with process = next } in
       (s, rearm @ wake)
     end
   end
 
 let on_search_timer ~self s =
-  if self <> s.config.sink || s.search_sent || s.config.mode <> Slp then (s, [])
+  if (not (is_sink s self)) || s.search_sent || not (is_slp s.config) then (s, [])
   else begin
     match min_slot_child s with
     | None -> (s, [])
@@ -875,28 +1010,37 @@ let on_search_timer ~self s =
         ] )
   end
 
+let rec mem_reading (((o, g) : int * int) as r) = function
+  | [] -> false
+  | (o', g') :: rest -> (o = o' && g = g') || mem_reading r rest
+
+let rec mem_int (v : int) = function
+  | [] -> false
+  | x :: rest -> x = v || mem_int v rest
+
 let on_period_timer ~self s =
   let s = { s with period_index = s.period_index + 1 } in
   (* Reliable mode: readings whose snoop-ack never arrived are retried in
      this period's transmission. *)
   let s =
-    if s.config.reliable_data && s.awaiting_ack <> [] then
+    match s.awaiting_ack with
+    | _ :: _ when s.config.reliable_data ->
       {
         s with
         pending_readings =
           List.rev_append
             (List.filter
-               (fun r -> not (List.mem r s.pending_readings))
+               (fun r -> not (mem_reading r s.pending_readings))
                s.awaiting_ack)
             s.pending_readings;
         awaiting_ack = [];
       }
-    else s
+    | _ -> s
   in
   (* Sources sense the asset once per period (§VI-A); the reading enters the
      aggregate this node will transmit in its slot. *)
   let s =
-    if List.mem self s.config.data_sources then
+    if mem_int self s.config.data_sources then
       { s with pending_readings = (self, s.period_index) :: s.pending_readings }
     else s
   in
@@ -906,7 +1050,7 @@ let on_period_timer ~self s =
         { timer = Timer.period; after = period_length s.config };
     ]
   in
-  if self = s.config.sink then (s, effects)
+  if is_sink s self then (s, effects)
   else begin
     match s.slot with
     | None -> (s, effects)
@@ -931,20 +1075,17 @@ let on_tx_timer ~self s =
    that as an implicit acknowledgement. *)
 let on_data ~self s ~sender ~readings =
   let s =
-    if
-      s.config.reliable_data
-      && s.parent = Some sender
-      && s.awaiting_ack <> []
-    then
+    match s.awaiting_ack with
+    | _ :: _ when s.config.reliable_data && points_to s.parent sender ->
       {
         s with
         awaiting_ack =
-          List.filter (fun r -> not (List.mem r readings)) s.awaiting_ack;
+          List.filter (fun r -> not (mem_reading r readings)) s.awaiting_ack;
       }
-    else s
+    | _ -> s
   in
-  if not (Int_set.mem sender s.children) then s
-  else if self = s.config.sink then
+  if not (Ids.mem s.children sender) then s
+  else if is_sink s self then
     {
       s with
       delivered =
@@ -960,7 +1101,7 @@ let on_data ~self s ~sender ~readings =
     }
   else begin
     let fresh =
-      List.filter (fun r -> not (List.mem r s.pending_readings)) readings
+      List.filter (fun r -> not (mem_reading r s.pending_readings)) readings
     in
     { s with pending_readings = List.rev_append fresh s.pending_readings }
   end
@@ -988,12 +1129,12 @@ let initial_state config ~self ~now =
     {
       config;
       rng;
-      neighbours = Int_set.empty;
-      npar = Int_set.empty;
-      children = Int_set.empty;
-      others = Int_map.empty;
-      ninfo = Int_map.empty;
-      unassigned_seen = Int_set.empty;
+      neighbours = Ids.empty;
+      npar = Ids.empty;
+      children = Ids.empty;
+      others = Others.empty;
+      ninfo = Ninfo.empty;
+      unassigned_seen = Ids.empty;
       hop = None;
       parent = None;
       slot = None;
@@ -1004,7 +1145,7 @@ let initial_state config ~self ~now =
         { round = 0; at = now +. dissem_boot config ~node:self; armed = true };
       process = { round = 0; at = now +. process_boot config; armed = true };
       search_sent = false;
-      from_ = Int_set.empty;
+      from_ = Ids.empty;
       start_node = false;
       pr = 0;
       hello_remaining = config.neighbour_discovery_periods;
@@ -1020,6 +1161,8 @@ let initial_state config ~self ~now =
   else base
 
 let program config ~self:_ =
+  let rounds = setup_rounds config in
+  let strong_rounds = strong_repair_rounds config in
   let init ~self =
     let s = initial_state config ~self ~now:(Slpdas_gcn.now ()) in
     let hello_offset =
@@ -1036,7 +1179,7 @@ let program config ~self:_ =
       ]
     in
     let effects =
-      if self = config.sink && config.mode = Slp then
+      if self = config.sink && is_slp config then
         effects
         @ [
             Slpdas_gcn.Set_timer
@@ -1050,21 +1193,36 @@ let program config ~self:_ =
     in
     (s, effects)
   in
+  (* Any handled message may change what a setup round does, so it wakes
+     both parked chains (see [resume_chain]); the armings of the woken
+     chains follow the handler's own effects. *)
+  let wake ~self fired =
+    match fired with
+    | None -> None
+    | Some (s, effects) ->
+      let dissem = resume_chain config Dissem_chain ~rounds ~node:self s.dissem in
+      let process =
+        if self = config.sink then s.process
+        else resume_chain config Process_chain ~rounds ~node:self s.process
+      in
+      if dissem == s.dissem && process == s.process then fired
+      else begin
+        let woken =
+          arm_woken Timer.dissem ~was:s.dissem dissem
+            (arm_woken Timer.process ~was:s.process process [])
+        in
+        Some
+          ( { s with dissem; process },
+            match woken with [] -> effects | _ -> effects @ woken )
+      end
+  in
   let receive name f =
     {
       Slpdas_gcn.name;
       handler =
         (fun ~self s trigger ->
           match trigger with
-          | Slpdas_gcn.Receive { sender; msg } ->
-            (* Any handled message may change what a setup round does, so
-               it wakes both parked chains (see [resume_chain]). *)
-            Option.map
-              (fun (s, effects) ->
-                let s, dissem = resume_dissem ~self s in
-                let s, process = resume_process ~self s in
-                (s, effects @ dissem @ process))
-              (f ~self s ~sender msg)
+          | Slpdas_gcn.Receive { sender; msg } -> wake ~self (f ~self s ~sender msg)
           | Slpdas_gcn.Timeout _ | Slpdas_gcn.Round_end -> None);
     }
   in
@@ -1098,12 +1256,12 @@ let program config ~self:_ =
           | _ -> None);
       receive "receiveS" (fun ~self s ~sender msg ->
           match msg with
-          | Messages.Search { target; ttl } when s.config.mode = Slp ->
+          | Messages.Search { target; ttl } when is_slp s.config ->
             Some (on_search ~self s ~sender ~target ~ttl)
           | _ -> None);
       receive "receiveC" (fun ~self s ~sender msg ->
           match msg with
-          | Messages.Change { target; base_slot; ttl } when s.config.mode = Slp ->
+          | Messages.Change { target; base_slot; ttl } when is_slp s.config ->
             Some (on_change ~self s ~sender ~target ~base_slot ~ttl)
           | _ -> None);
       receive "receiveData" (fun ~self s ~sender msg ->
@@ -1120,8 +1278,10 @@ let program config ~self:_ =
           | Messages.Release { target } -> Some (on_release ~self s ~sender ~target)
           | _ -> None);
       timeout "hello" Timer.hello (fun ~self:_ s -> on_hello_timer s);
-      timeout "dissem" Timer.dissem (fun ~self s -> on_dissem_timer ~self s);
-      timeout "process" Timer.process (fun ~self s -> on_process_timer ~self s);
+      timeout "dissem" Timer.dissem (fun ~self s ->
+          on_dissem_timer ~rounds ~self s);
+      timeout "process" Timer.process (fun ~self s ->
+          on_process_timer ~rounds ~strong_rounds ~self s);
       timeout "startS" Timer.search (fun ~self s -> on_search_timer ~self s);
       timeout "period" Timer.period (fun ~self s -> on_period_timer ~self s);
       timeout "tx" Timer.tx (fun ~self s -> on_tx_timer ~self s);

@@ -44,9 +44,6 @@
     The module only defines behaviour; running it under the simulator and
     attaching the attacker is the job of [Slpdas_exp.Runner]. *)
 
-module Int_set : Set.S with type elt = int
-module Int_map : Map.S with type key = int
-
 type mode = Protectionless | Slp
 
 type config = {
@@ -99,22 +96,50 @@ val normal_start : config -> float
     a process round that changed the assignment wakes the dissemination
     chain; waking re-arms the first round strictly after the current time
     with {!Slpdas_gcn.Set_timer_at}, at the exact float the never-parked
-    chain would have fired on.  Parking removes only timer fires: every
-    transmission, reception and RNG draw is what it would be without it.
-    The sink's process chain parks on its first fire for good. *)
+    chain would have fired on (see {!catch_up}).  Parking removes only timer
+    fires: every transmission, reception and RNG draw is what it would be
+    without it.  The sink's process chain parks on its first fire for
+    good. *)
 type chain = { round : int; at : float; armed : bool }
 
-(** Per-node protocol state; transparent for tests and harnesses. *)
+type chain_kind =
+  | Dissem_chain
+      (** round [r] fires at [das_start + r·Pdiss + jitter(r)], the jitter a
+          stateless per-(run, node, round) hash *)
+  | Process_chain  (** round [r] fires at [das_start + (r + 0.8)·Pdiss] *)
+
+val catch_up : config -> chain_kind -> node:int -> now:float -> chain -> chain
+(** [catch_up c kind ~node ~now chain] is the position a chain parked at
+    [chain] resumes from when woken at [now]: its first round firing
+    strictly after [now], or the end of the setup window, armed exactly when
+    that round exists.  Chain times accumulate round gaps with [+.] in the
+    order the never-parked chain's timers add them, so they are bit-equal
+    to its fire times. *)
+
+type ninfo_table
+(** [Ninfo]: the (hop, slot) known per node; read with {!ninfo}. *)
+
+type others_table
+(** [Others]: the competitor set per potential parent; read with
+    {!competitors}. *)
+
+(** Per-node protocol state; transparent for tests and harnesses.
+
+    Node sets are sorted, duplicate-free [int array]s.  A handler never
+    writes an array or table it was given: it returns a fresh one when the
+    contents change and the same one when they do not, so states stay
+    immutable values and a no-op reception copies neither.  Callers must
+    not write them either. *)
 type state = {
   config : config;
   rng : Slpdas_util.Rng.t;
   (* Fig. 2 variables *)
-  neighbours : Int_set.t;  (** myN *)
-  npar : Int_set.t;  (** potential parents *)
-  children : Int_set.t;
-  others : Int_set.t Int_map.t;  (** per potential parent: competitors *)
-  ninfo : Messages.ninfo Int_map.t;  (** known (hop, slot); absent = ⊥ *)
-  unassigned_seen : Int_set.t;
+  neighbours : int array;  (** myN *)
+  npar : int array;  (** potential parents *)
+  children : int array;
+  others : others_table;  (** per potential parent: competitors *)
+  ninfo : ninfo_table;  (** known (hop, slot); absent = ⊥ *)
+  unassigned_seen : int array;
       (** nodes reported slotless in received disseminations *)
   hop : int option;
   parent : int option;
@@ -126,7 +151,7 @@ type state = {
   process : chain;  (** the process-action timer chain *)
   (* Fig. 3 variables *)
   search_sent : bool;  (** sink: Phase 2 already triggered *)
-  from_ : Int_set.t;  (** senders of Search/Change tokens seen *)
+  from_ : int array;  (** senders of Search/Change tokens seen *)
   start_node : bool;
   pr : int;  (** remaining change-path budget when selected *)
   (* bookkeeping *)
@@ -144,11 +169,17 @@ type state = {
           reading that completed the convergecast *)
 }
 
+val ninfo : state -> int -> Messages.ninfo option
+(** [ninfo s v] is node [v]'s (hop, slot) as [s] knows it; [None] is ⊥. *)
+
+val competitors : state -> parent:int -> int array option
+(** [competitors s ~parent] is the competitor set (sorted) that [parent]'s
+    dissemination revealed, if [parent] was ever recorded as a potential
+    parent. *)
+
 val program : config -> self:int -> (state, Messages.t) Slpdas_gcn.program
 (** The node program.  All nodes share [config]; per-node randomness is
     derived from [config.run_seed] and [self]. *)
-
-val slot_of_state : state -> int option
 
 val extract_schedule : n:int -> config -> (int -> state) -> Schedule.t
 (** [extract_schedule ~n config state_of] collects each node's current slot

@@ -113,25 +113,26 @@ module Instance = struct
 
   let state t = t.state
 
-  (* Run spontaneous actions to fixpoint, returning effects in order. *)
+  let rec first_enabled state = function
+    | [] -> None
+    | s :: rest -> if s.sguard state then Some s else first_enabled state rest
+
+  (* Run spontaneous actions to fixpoint, appending their effects in order
+     to [acc].  Top-level and closure-free: a trigger that enables nothing
+     (the common case) allocates nothing here. *)
+  let rec settle_from t fuel acc =
+    if fuel <= 0 then raise (Divergent "spontaneous actions did not settle");
+    match first_enabled t.state t.spontaneous with
+    | None -> acc
+    | Some s ->
+      let state', effs = s.scommand ~self:t.self t.state in
+      t.state <- state';
+      settle_from t (fuel - 1) (acc @ effs)
+
   let settle t =
     match t.spontaneous with
     | [] -> []
-    | spontaneous ->
-      let effects = ref [] in
-      let rec loop fuel =
-        if fuel <= 0 then raise (Divergent "spontaneous actions did not settle");
-        let enabled = List.find_opt (fun s -> s.sguard t.state) spontaneous in
-        match enabled with
-        | None -> ()
-        | Some s ->
-          let state', effs = s.scommand ~self:t.self t.state in
-          t.state <- state';
-          effects := !effects @ [ effs ];
-          loop (fuel - 1)
-      in
-      loop spontaneous_fuel;
-      List.concat !effects
+    | _ -> settle_from t spontaneous_fuel []
 
   let boot program self =
     let state, boot_effects = program.init ~self in

@@ -20,6 +20,8 @@ let in_bench path = under "bench" path
 
 let hot_path path =
   under "lib/sim" path
+  || under "lib/gcn" path
+  || String.equal path "lib/core/protocol.ml"
   || String.equal path "lib/core/verifier.ml"
   || String.equal path "lib/util/pool.ml"
 
@@ -80,9 +82,10 @@ let all =
       name = "poly-eq";
       summary =
         "polymorphic =/<> (or <, >, <=, >=) against a tuple, record, \
-         constructor or list on the hot path (lib/sim, lib/core/verifier.ml, \
-         lib/util/pool.ml): each comparison is a caml_compare call; match \
-         on the structure or use a typed equal";
+         constructor or list on the hot path (lib/sim, lib/gcn, \
+         lib/core/protocol.ml, lib/core/verifier.ml, lib/util/pool.ml): \
+         each comparison is a caml_compare call; match on the structure or \
+         use a typed equal";
       tier = Both;
       applies = hot_path;
     };

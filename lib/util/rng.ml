@@ -5,7 +5,7 @@ type t = { mutable state : int64 }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -38,6 +38,18 @@ let float t bound =
   (* 53 random bits mapped to [0,1). *)
   let r = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float r /. 9007199254740992.0 *. bound
+
+(* The first draws of [create seed], with the generator's state kept in
+   unboxed locals instead of a record. *)
+let[@inline] first_bits64 seed =
+  mix64 (Int64.add (mix64 (Int64.of_int seed)) golden_gamma)
+
+let first_float seed bound =
+  let r = Int64.shift_right_logical (first_bits64 seed) 11 in
+  Int64.to_float r /. 9007199254740992.0 *. bound
+
+let first_bits62 seed =
+  Int64.to_int (Int64.logand (first_bits64 seed) 0x3FFFFFFFFFFFFFFFL)
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 

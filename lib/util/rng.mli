@@ -38,6 +38,15 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is a uniform float in [\[0, bound)]. *)
 
+val first_float : int -> float -> float
+(** [first_float seed bound] is [float (create seed) bound], bit for bit:
+    the first float a fresh generator draws.  It builds no generator, so a
+    stateless per-(seed) hash costs no allocation beyond its result. *)
+
+val first_bits62 : int -> int
+(** [first_bits62 seed] is the low 62 bits of [bits64 (create seed)], a
+    non-negative [int], computed without building a generator. *)
+
 val bool : t -> bool
 (** [bool t] is a fair coin flip. *)
 

@@ -112,8 +112,12 @@ let test_poly_eq () =
   check_fires "list literal" "poly-eq" (lint "let f xs = xs = [ 1 ]");
   check_clean "int equality is immediate" (lint "let f x = x = 3");
   check_clean "bool literals are immediate" (lint "let f x = x = true");
-  check_clean "outside the hot path the protocol may compare options"
-    (lint ~path:"lib/core/protocol.ml" "let f x = x = Some 3")
+  check_fires "the protocol's handlers are on the hot path" "poly-eq"
+    (lint ~path:"lib/core/protocol.ml" "let f x = x = Some 3");
+  check_fires "the GCN runtime is on the hot path" "poly-eq"
+    (lint ~path:"lib/gcn/slpdas_gcn.ml" "let f x = x = None");
+  check_clean "outside the hot path the baselines may compare options"
+    (lint ~path:"lib/core/phantom.ml" "let f x = x = Some 3")
 
 let test_hot_path_hashtbl () =
   check_fires "engine create" "hot-path-hashtbl"
@@ -342,6 +346,8 @@ let test_typed_poly_eq_on_types () =
   let src = "let n = None\nlet f x = x = n" in
   check_clean "syntactic tier misses the bound option" (lint src);
   check_fires "typed tier resolves the option type" "poly-eq" (tlint src);
+  check_fires "typed: the protocol's handlers are on the hot path" "poly-eq"
+    (tlint ~path:"lib/core/protocol.ml" src);
   check_clean "typed: int equality is immediate" (tlint "let f x = x = 3")
 
 let test_typed_load_failure () =

@@ -63,7 +63,7 @@ let test_neighbour_discovery () =
     Alcotest.(check (list int))
       (Printf.sprintf "node %d discovered its neighbours" v)
       (Graph.neighbour_list g v)
-      (Protocol.Int_set.elements st.Protocol.neighbours)
+      (Array.to_list st.Protocol.neighbours)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -130,7 +130,7 @@ let test_phase1_children_match_parents () =
   let g = topo.Topology.graph in
   for v = 0 to Graph.n g - 1 do
     let st = Engine.node_state engine v in
-    Protocol.Int_set.iter
+    Array.iter
       (fun c ->
         let child_state = Engine.node_state engine c in
         Alcotest.(check (option int))
@@ -457,7 +457,7 @@ let test_parent_crash_reparents () =
       for v = 0 to Graph.n g - 1 do
         if v <> sink then begin
           let count =
-            Protocol.Int_set.cardinal (Engine.node_state e v).Protocol.children
+            Array.length (Engine.node_state e v).Protocol.children
           in
           if count > !best_count then begin
             best := v;
@@ -467,7 +467,7 @@ let test_parent_crash_reparents () =
       done;
       victim := !best;
       orphans :=
-        Protocol.Int_set.elements (Engine.node_state e !best).Protocol.children;
+        Array.to_list (Engine.node_state e !best).Protocol.children;
       Engine.fail_node e !best;
       Engine.schedule e
         ~at:(Engine.time e +. config.Protocol.dissemination_period)

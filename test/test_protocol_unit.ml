@@ -78,7 +78,7 @@ let test_sink_initial_state () =
   let s = state inst in
   Alcotest.(check (option int)) "hop 0" (Some 0) s.Protocol.hop;
   Alcotest.(check (option int)) "no transmission slot" None s.Protocol.slot;
-  (match Protocol.Int_map.find_opt 9 s.Protocol.ninfo with
+  (match Protocol.ninfo s 9 with
   | Some { Messages.hop = 0; slot = 100 } -> ()
   | _ -> Alcotest.fail "sink must advertise the virtual slot delta");
   Alcotest.(check bool) "normal mode" true s.Protocol.normal
@@ -89,7 +89,7 @@ let test_hello_builds_neighbourhood () =
   hello inst ~from:5;
   hello inst ~from:1;
   Alcotest.(check (list int)) "deduplicated neighbours" [ 1; 5 ]
-    (Protocol.Int_set.elements (state inst).Protocol.neighbours)
+    (Array.to_list (state inst).Protocol.neighbours)
 
 (* ------------------------------------------------------------------ *)
 (* receiveN: potential parents and competitor sets                    *)
@@ -108,13 +108,13 @@ let test_receive_normal_dissem_registers_parent () =
           }));
   let s = state inst in
   Alcotest.(check (list int)) "npar" [ 1 ]
-    (Protocol.Int_set.elements s.Protocol.npar);
-  (match Protocol.Int_map.find_opt 1 s.Protocol.others with
+    (Array.to_list s.Protocol.npar);
+  (match Protocol.competitors s ~parent:1 with
   | Some competitors ->
     Alcotest.(check (list int)) "we are a competitor under 1" [ 0 ]
-      (Protocol.Int_set.elements competitors)
+      (Array.to_list competitors)
   | None -> Alcotest.fail "no competitor set recorded");
-  (match Protocol.Int_map.find_opt 9 s.Protocol.ninfo with
+  (match Protocol.ninfo s 9 with
   | Some { Messages.hop = 0; slot = 100 } -> ()
   | _ -> Alcotest.fail "2-hop info about the sink not merged")
 
@@ -127,7 +127,7 @@ let test_receive_dissem_unassigned_sender_not_parent () =
        (Gcn.Receive
           { sender = 1; msg = dissem ~info:[ (0, None); (1, None) ] () }));
   Alcotest.(check (list int)) "npar empty" []
-    (Protocol.Int_set.elements (state inst).Protocol.npar)
+    (Array.to_list (state inst).Protocol.npar)
 
 let test_children_follow_parent_field () =
   let inst, _ = boot ~self:0 () in
@@ -143,17 +143,17 @@ let test_children_follow_parent_field () =
   in
   announce (Some 0);
   Alcotest.(check (list int)) "child registered" [ 1 ]
-    (Protocol.Int_set.elements (state inst).Protocol.children);
+    (Array.to_list (state inst).Protocol.children);
   announce (Some 5);
   Alcotest.(check (list int)) "child moved away" []
-    (Protocol.Int_set.elements (state inst).Protocol.children)
+    (Array.to_list (state inst).Protocol.children)
 
 let test_ninfo_merge_takes_lower_slot () =
   let inst, _ = boot ~self:0 () in
   hello inst ~from:1;
   hello inst ~from:2;
   let slot_of v =
-    match Protocol.Int_map.find_opt v (state inst).Protocol.ninfo with
+    match Protocol.ninfo (state inst) v with
     | Some { Messages.slot; _ } -> Some slot
     | None -> None
   in
@@ -352,7 +352,7 @@ let test_search_non_target_records_from () =
   in
   Alcotest.(check int) "no broadcast" 0 (List.length (broadcasts effects));
   Alcotest.(check (list int)) "sender recorded" [ 4 ]
-    (Protocol.Int_set.elements (state inst).Protocol.from_)
+    (Array.to_list (state inst).Protocol.from_)
 
 let test_search_target_forwards_to_min_slot_child () =
   let inst, _ = boot ~self:0 () in
@@ -388,7 +388,7 @@ let test_search_ttl_zero_selects_start_node () =
     ~competitors:[ 0 ];
   let s = state inst in
   Alcotest.(check bool) "has alternate parents" true
-    (Protocol.Int_set.cardinal s.Protocol.npar = 3);
+    (Array.length s.Protocol.npar = 3);
   let effects =
     deliver inst
       (Gcn.Receive { sender = 1; msg = Messages.Search { target = 0; ttl = 0 } })
@@ -649,6 +649,79 @@ let prop_slot_monotone =
         script;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Chain catch-up against the closure-recursive oracle                *)
+(* ------------------------------------------------------------------ *)
+
+module Oracle = Chain_catch_up_oracle
+
+(* When a parked chain is woken, relative to its chain times: exactly on
+   the time of a later round, between two rounds, before the parked round,
+   or after the last setup round. *)
+type wake = On of int | Between of int * float | Early of float | Late of float
+
+let prop_catch_up_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      let* run_seed =
+        oneof [ small_signed_int; int_bound 1_000_000_000; int ]
+      in
+      let* node = int_bound 10_200 in
+      let* kind = oneofl [ Protocol.Dissem_chain; Protocol.Process_chain ] in
+      let* period = oneofl [ 0.5; 0.3; 0.7; 1.25 ] in
+      let c = { (config ~seed:run_seed ()) with dissemination_period = period } in
+      let rounds = Oracle.setup_rounds c in
+      let* parked = oneof [ int_bound rounds; return 0; return rounds ] in
+      let* wake =
+        oneof
+          [
+            map (fun k -> On k) (int_bound 12);
+            map2 (fun k f -> Between (k, f)) (int_bound 12) (float_bound_exclusive 1.0);
+            map (fun f -> Early f) (float_bound_inclusive 3.0);
+            map (fun f -> Late f) (float_bound_inclusive 3.0);
+          ]
+      in
+      return (c, kind, node, parked, wake))
+  in
+  let print (c, kind, node, parked, wake) =
+    Printf.sprintf "seed %d, %s chain, node %d, Pdiss %g, parked at round %d, %s"
+      c.Protocol.run_seed
+      (match kind with
+      | Protocol.Dissem_chain -> "dissem"
+      | Protocol.Process_chain -> "process")
+      node c.Protocol.dissemination_period parked
+      (match wake with
+      | On k -> Printf.sprintf "woken on round +%d" k
+      | Between (k, f) -> Printf.sprintf "woken %g past round +%d" f k
+      | Early f -> Printf.sprintf "woken %gs early" f
+      | Late f -> Printf.sprintf "woken %gs after the last round" f)
+  in
+  QCheck.Test.make ~count:300 ~name:"catch_up = closure-recursive replay"
+    (QCheck.make ~print gen)
+    (fun (c, kind, node, parked, wake) ->
+      let rounds = Oracle.setup_rounds c in
+      let time r = Oracle.chain_time c kind ~node (Int.min r rounds) in
+      let at = time parked in
+      let now =
+        match wake with
+        | On k -> time (parked + k)
+        | Between (k, f) -> time (parked + k) +. (f *. c.Protocol.dissemination_period)
+        | Early f -> at -. f
+        | Late f -> time rounds +. f
+      in
+      let want_round, want_at =
+        Oracle.catch_up c kind ~node ~now ~round:parked ~at
+      in
+      let got =
+        Protocol.catch_up c kind ~node ~now
+          { Protocol.round = parked; at; armed = false }
+      in
+      got.Protocol.round = want_round
+      && Int64.equal
+           (Int64.bits_of_float got.Protocol.at)
+           (Int64.bits_of_float want_at)
+      && Bool.equal got.Protocol.armed (want_round < rounds))
+
 let () =
   Alcotest.run "protocol-unit"
     [
@@ -719,6 +792,8 @@ let () =
             test_unassigned_node_does_not_disseminate;
         ] );
       ( "robustness", [ QCheck_alcotest.to_alcotest prop_slot_monotone ] );
+      ( "chain catch-up",
+        [ QCheck_alcotest.to_alcotest prop_catch_up_matches_oracle ] );
       ( "normal-phase",
         [
           Alcotest.test_case "tx at slot offset" `Quick test_period_timer_schedules_tx_at_slot;

@@ -115,6 +115,38 @@ let test_rng_shuffle_list_preserves_elements () =
   Alcotest.(check (list int)) "same multiset" (List.sort compare xs)
     (List.sort compare ys)
 
+(* The stateless first draws are the first draws of a fresh generator, bit
+   for bit, over the whole seed range: negative seeds, seeds near
+   [min_int]/[max_int], and bounds from tiny to huge. *)
+let prop_rng_first_draws =
+  let seed =
+    QCheck.Gen.(
+      oneof
+        [
+          small_signed_int;
+          int;
+          map (fun d -> max_int - d) small_nat;
+          map (fun d -> min_int + d) small_nat;
+        ])
+  in
+  let bound =
+    QCheck.Gen.oneofl [ 1.0; 0.15; 0.3 *. 0.5; 7.25; 1e-300; 1e300; 0.0; -2.5 ]
+  in
+  QCheck.Test.make ~count:1000 ~name:"first_float/first_bits62 = fresh generator"
+    (QCheck.make
+       ~print:QCheck.Print.(pair int float)
+       QCheck.Gen.(pair seed bound))
+    (fun (seed, bound) ->
+      let fresh = Rng.float (Rng.create seed) bound in
+      let bits =
+        Int64.to_int
+          (Int64.logand (Rng.bits64 (Rng.create seed)) 0x3FFFFFFFFFFFFFFFL)
+      in
+      Int64.equal
+        (Int64.bits_of_float (Rng.first_float seed bound))
+        (Int64.bits_of_float fresh)
+      && Rng.first_bits62 seed = bits)
+
 (* ------------------------------------------------------------------ *)
 (* Heap: the engine's event queue, keyed (at, k1, k2)                  *)
 (* ------------------------------------------------------------------ *)
@@ -475,6 +507,7 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "shuffle_list elements" `Quick
             test_rng_shuffle_list_preserves_elements;
+          QCheck_alcotest.to_alcotest prop_rng_first_draws;
         ] );
       ( "heap",
         [

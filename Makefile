@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; see README.md "Reproducing the paper".
 
-.PHONY: build test lint lint-typed bench bench-smoke bench-determinism chaos-smoke scale-smoke couple-smoke serve-smoke attack-smoke pipeline-smoke des-smoke das-smoke related-smoke clean
+.PHONY: build test lint lint-typed bench bench-smoke bench-determinism chaos-smoke couple-smoke serve-smoke attack-smoke pipeline-smoke des-smoke das-smoke related-smoke clean
 
 build:
 	dune build @all
@@ -42,7 +42,10 @@ bench-determinism:
 
 # Seeded fault-injection grid (lib/fault churn workload) plus the
 # fault-layer determinism contract: identical (seed, plan) inputs must give
-# byte-identical resilience JSON for BENCH_DOMAINS=1 and 2.
+# byte-identical resilience JSON for BENCH_DOMAINS=1 and 2.  A --fault-plan
+# with a bad time or k, an unknown node or a sink crash must fail before
+# any run with a reason (exit 2), never an uncaught exception (exit 125)
+# or a silent run.
 chaos-smoke:
 	dune exec bin/slp_das_cli.exe -- chaos -d 7 -n 4 --crashes 2
 	dune exec bin/slp_das_cli.exe -- chaos -d 7 -n 2 --slp \
@@ -53,36 +56,42 @@ chaos-smoke:
 	  --domains 2 --resilience-json _build/chaos_d2.json > /dev/null
 	diff -u _build/chaos_d1.json _build/chaos_d2.json
 	@echo "chaos resilience JSON byte-identical for --domains 1 and 2"
-
-# Sharded-engine determinism at (bounded) scale: a 101x101 grid's
-# observables JSON — schedule facts, attacker verdict, per-cell and merged
-# counters — must be byte-identical for --domains 1 and 2.  timeout(1)
-# enforces the wall-clock budget; the full 1000x1000 sweep lives in the
-# bench scale section (BENCH_SCALE=101,317,1000 make bench).
-scale-smoke:
-	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 --cells 4 \
-	  --domains 1 --json _build/scale_d1.json > /dev/null
-	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 --cells 4 \
-	  --domains 2 --json _build/scale_d2.json > /dev/null
-	diff -u _build/scale_d1.json _build/scale_d2.json
-	@echo "scale observables byte-identical for --domains 1 and 2"
+	for case in 'crash@250:node=99999|crash node 99999 out of range' \
+	  'crash@250:node=-1|crash node -1 out of range' \
+	  'degrade@100:0-99999,0.5|degrade node 99999 out of range' \
+	  'crash@250:node=24|cannot crash the sink' \
+	  'crash@-5:node=3|time must be finite and >= 0' \
+	  'crash@nan:node=3|time must be finite and >= 0' \
+	  'crash@inf:node=3|time must be finite and >= 0' \
+	  'crash@250:k=-2|target k must be >= 0'; do \
+	  status=0; dune exec bin/slp_das_cli.exe -- chaos -d 7 --runs 1 \
+	    --fault-plan "$${case%%|*}" > /dev/null 2> _build/chaos_bad.err \
+	    || status=$$?; \
+	  { test $$status -ne 0 && test $$status -ne 125 \
+	    && grep -qF "bad --fault-plan: $${case#*|}" _build/chaos_bad.err; } \
+	    || { echo "chaos-smoke: --fault-plan '$${case%%|*}' exited $$status"; exit 1; }; \
+	done
+	@echo "chaos rejects fault plans the 7x7 grid cannot host before any run"
 
 # Coupled sharding determinism: a coupled 101x101 run's observables JSON —
 # merged engine counters over the cut-edge mailbox/window machinery — must
 # be byte-identical to the single-cell run whatever the decomposition
-# (--cells 1 vs 4 vs 16) and wherever the cells execute (--domains 1 vs 2).
-# Cells of the 1- and 4-cell runs lie above the engine's batch cutover
-# (1024 nodes) and batch their deliveries; the 16 cells (~638 nodes each)
-# push singleton deliveries, so the diff also pins batched = unbatched.
+# (--cells 1 vs 4 vs 16) and wherever the cells execute (--domains 1 vs 2),
+# and to test/cli_golden/scale_101_c4.json, recorded from the 4-cell run
+# before radio-isolated sharding was deleted.  Cells of the 1- and 4-cell
+# runs lie above the engine's batch cutover (1024 nodes) and batch their
+# deliveries; the 16 cells (~638 nodes each) push singleton deliveries, so
+# the diff also pins batched = unbatched.
 couple-smoke:
-	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 --couple \
+	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 \
 	  --cells 1 --domains 1 --json _build/couple_c1.json > /dev/null
-	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 --couple \
+	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 \
 	  --cells 4 --domains 1 --json _build/couple_c4_d1.json > /dev/null
-	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 --couple \
+	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 \
 	  --cells 4 --domains 2 --json _build/couple_c4_d2.json > /dev/null
-	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 --couple \
+	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 \
 	  --cells 16 --domains 1 --json _build/couple_c16.json > /dev/null
+	diff -u test/cli_golden/scale_101_c4.json _build/couple_c4_d1.json
 	diff -u _build/couple_c1.json _build/couple_c4_d1.json
 	diff -u _build/couple_c4_d1.json _build/couple_c4_d2.json
 	diff -u _build/couple_c1.json _build/couple_c16.json

@@ -1637,18 +1637,18 @@ let scale () =
             | Slpdas_core.Verifier.Captured { periods; _ } ->
               Printf.sprintf "captured@%d" periods
           in
-          (* Sharded engine run: wave flooding on the Fast impl, one engine
-             per spatial cell fanned out over the domain pool. *)
+          (* Coupled sharded run: wave flooding on the Fast impl, one
+             radio-coupled engine per spatial cell stepped over the domain
+             pool in lookahead windows. *)
           let cells = max 1 (min 16 (dim / 50)) in
           let plan, plan_s =
             wall (fun () -> Slpdas_sim.Shard.plan ~cells_x:cells ~cells_y:cells topology)
           in
-          let (_, merged), shard_s =
+          let (_, merged), coupled_s =
             wall (fun () ->
-                Slpdas_sim.Shard.run ~domains plan
+                Slpdas_sim.Shard.run_coupled ~domains plan
                   ~link:Slpdas_sim.Link_model.Ideal ~seed:1
-                  ~program:(fun ~cell:_ ~self -> wave_program ~self)
-                  ~until:3.0)
+                  ~program:wave_program ~until:3.0)
           in
           ( dim,
             n,
@@ -1662,9 +1662,9 @@ let scale () =
             outcome,
             cells,
             Array.length plan.Slpdas_sim.Shard.cells,
-            plan.Slpdas_sim.Shard.cut_edges,
+            plan.Slpdas_sim.Shard.cut_links,
             plan_s,
-            shard_s,
+            coupled_s,
             merged.Slpdas_sim.Event.broadcasts ))
         scale_dims
     in
@@ -1672,11 +1672,11 @@ let scale () =
       ~header:
         [
           "grid"; "nodes"; "topology"; "DAS build"; "seeded build"; "compact";
-          "verify"; "cells"; "shard run"; "shard tx";
+          "verify"; "cells"; "coupled run"; "coupled tx";
         ]
       (List.map
          (fun (dim, n, _m, topo_s, build_s, build_mw, seeded, compact_s,
-               verify_s, outcome, cells, _ncells, _cut, _plan_s, shard_s, tx) ->
+               verify_s, outcome, cells, _ncells, _cut, _plan_s, coupled_s, tx) ->
            [
              Printf.sprintf "%dx%d" dim dim;
              string_of_int n;
@@ -1688,7 +1688,7 @@ let scale () =
              Printf.sprintf "%.2f s" compact_s;
              Printf.sprintf "%.4f s (%s)" verify_s outcome;
              Printf.sprintf "%dx%d" cells cells;
-             Printf.sprintf "%.2f s" shard_s;
+             Printf.sprintf "%.2f s" coupled_s;
              string_of_int tx;
            ])
          records);
@@ -1702,7 +1702,7 @@ let scale () =
       Printf.fprintf oc "  \"domains\": %d,\n  \"grids\": [\n" domains;
       List.iteri
         (fun i (dim, n, m, topo_s, build_s, build_mw, seeded, compact_s,
-                verify_s, outcome, _cells, ncells, cut, plan_s, shard_s, tx) ->
+                verify_s, outcome, _cells, ncells, cut, plan_s, coupled_s, tx) ->
           let seeded_s, seeded_mw =
             match seeded with
             | Some (s, mw) ->
@@ -1716,10 +1716,10 @@ let scale () =
              \"das_build_seeded_mw\": %s, \
              \"das_build_compact_s\": %.4f, \"verify_s\": %.4f, \
              \"verify_outcome\": %S, \"shard_cells\": %d, \
-             \"shard_cut_edges\": %d, \"shard_plan_s\": %.4f, \
-             \"shard_run_s\": %.4f, \"shard_broadcasts\": %d}%s\n"
+             \"shard_cut_links\": %d, \"shard_plan_s\": %.4f, \
+             \"coupled_run_s\": %.4f, \"shard_broadcasts\": %d}%s\n"
             dim n m topo_s build_s build_mw seeded_s seeded_mw compact_s
-            verify_s outcome ncells cut plan_s shard_s tx
+            verify_s outcome ncells cut plan_s coupled_s tx
             (if i = List.length records - 1 then "" else ","))
         records;
       output_string oc "  ]\n}\n";

@@ -462,7 +462,16 @@ let chaos_cmd =
       match plan_text with
       | None -> Slpdas_fault.Churn.churn_plan ~params ~crashes ()
       | Some text ->
-        begin match Slpdas_fault.Fault_plan.of_string text with
+        (* Churn runs on [topology_of_dim dim]: reject the plan before any
+           run if that deployment cannot host it. *)
+        let checked =
+          Result.bind (Slpdas_fault.Fault_plan.of_string text) (fun plan ->
+              Result.map
+                (fun () -> plan)
+                (Slpdas_fault.Fault_plan.validate
+                   ~topology:(topology_of_dim dim) plan))
+        in
+        begin match checked with
         | Ok plan -> plan
         | Error reason ->
           Format.eprintf "bad --fault-plan: %s@." reason;
@@ -610,8 +619,9 @@ let experiment_cmd =
 (* scale                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Wave-flooding workload for the sharded engine: local node 0 of each
-   cell floods a counter every simulated second. *)
+(* Wave-flooding workload for the coupled engine: global node 0 floods a
+   counter every simulated second; every other node forwards fresher
+   waves. *)
 let scale_wave_program ~self =
   let go_timer = Slpdas_gcn.Timer.intern "scale-wave" in
   let init ~self =
@@ -642,7 +652,7 @@ let scale_wave_program ~self =
       handler =
         (fun ~self:_ wave trigger ->
           match trigger with
-          | Slpdas_gcn.Receive { msg; _ } when msg > wave ->
+          | Slpdas_gcn.Receive { msg; _ } when (msg : int) > wave ->
             Some (msg, [ Slpdas_gcn.Broadcast msg ])
           | _ -> None);
     }
@@ -651,9 +661,9 @@ let scale_wave_program ~self =
   { Slpdas_gcn.init; actions = [ go; forward ]; spontaneous = [] }
 
 let scale_cmd =
-  let run dim seed cells domains until couple json =
+  let run dim seed cells domains until json =
     (* Wall-clock reads here only feed the human-readable progress report;
-       the --json observables (what scale-smoke diffs) carry no timings. *)
+       the --json observables (what couple-smoke diffs) carry no timings. *)
     let wall f =
       (* slp-lint: allow wall-clock *)
       let t0 = Unix.gettimeofday () in
@@ -700,85 +710,38 @@ let scale_cmd =
     Format.printf "attacker run (Algorithm 1, safety 2n): %.4f s; %s@."
       verify_s outcome;
     let plan = Slpdas_sim.Shard.plan ~cells_x:cells ~cells_y:cells topo in
-    if couple then begin
-      let (_, merged), shard_s =
-        wall (fun () ->
-            Slpdas_sim.Shard.run_coupled ?domains plan
-              ~link:Slpdas_sim.Link_model.Ideal ~seed
-              ~program:scale_wave_program ~until)
-      in
-      Format.printf
-        "coupled run: %d cells (%d cut links, %d boundary nodes), %.1f s sim \
-         in %.3f s wall; %d broadcasts, %d deliveries@."
-        (Array.length plan.Slpdas_sim.Shard.cells)
-        plan.Slpdas_sim.Shard.cut_links
-        (Slpdas_sim.Shard.boundary_nodes plan)
-        until shard_s merged.Slpdas_sim.Event.broadcasts
-        merged.Slpdas_sim.Event.deliveries;
-      match json with
-      | None -> ()
-      | Some path ->
-        (* Coupled observables are cell-count- and domain-count-invariant
-           (byte-identical to the unsharded sequential engine), so the JSON
-           carries only decomposition-free facts — make couple-smoke diffs
-           exactly this file across --cells and --domains. *)
-        let oc = open_out path in
-        Printf.fprintf oc
-          "{\"dim\": %d, \"nodes\": %d, \"edges\": %d, \"period_length\": %d, \
-           \"strong_violations\": %d, \"verify_outcome\": %S, \"coupled\": %s}\n"
-          dim n
-          (Slpdas_wsn.Graph.num_edges g)
-          (Slpdas_core.Das_build.schedule_length schedule)
-          (List.length strong) outcome
-          (Slpdas_sim.Event.to_json merged);
-        close_out oc;
-        Format.printf "scale: wrote %s@." path
-    end
-    else begin
-      let (per_cell, merged), shard_s =
-        wall (fun () ->
-            Slpdas_sim.Shard.run ?domains plan
-              ~link:Slpdas_sim.Link_model.Ideal ~seed
-              ~program:(fun ~cell:_ ~self -> scale_wave_program ~self)
-              ~until)
-      in
-      Format.printf
-        "sharded run: %d cells (%d cut links, %d cut arcs), %.1f s sim in \
-         %.3f s wall; %d broadcasts, %d deliveries@."
-        (Array.length plan.Slpdas_sim.Shard.cells)
-        plan.Slpdas_sim.Shard.cut_links plan.Slpdas_sim.Shard.cut_arcs until
-        shard_s merged.Slpdas_sim.Event.broadcasts
-        merged.Slpdas_sim.Event.deliveries;
-      match json with
-      | None -> ()
-      | Some path ->
-        (* Deterministic observables only (no timings): the same file must be
-           byte-identical for every --domains value — make scale-smoke diffs
-           exactly this. *)
-        let boundary =
-          String.concat ", "
-            (Array.to_list
-               (Array.map
-                  (fun c -> string_of_int c.Slpdas_sim.Shard.boundary_nodes)
-                  plan.Slpdas_sim.Shard.cells))
-        in
-        let oc = open_out path in
-        Printf.fprintf oc
-          "{\"dim\": %d, \"nodes\": %d, \"edges\": %d, \"period_length\": %d, \
-           \"strong_violations\": %d, \"verify_outcome\": %S, \"cells\": %d, \
-           \"cut_edges\": %d, \"cut_links\": %d, \"cut_arcs\": %d, \
-           \"boundary_nodes\": [%s], \"sharded\": %s}\n"
-          dim n
-          (Slpdas_wsn.Graph.num_edges g)
-          (Slpdas_core.Das_build.schedule_length schedule)
-          (List.length strong) outcome
-          (Array.length plan.Slpdas_sim.Shard.cells)
-          plan.Slpdas_sim.Shard.cut_edges plan.Slpdas_sim.Shard.cut_links
-          plan.Slpdas_sim.Shard.cut_arcs boundary
-          (Slpdas_sim.Shard.counters_json per_cell merged);
-        close_out oc;
-        Format.printf "scale: wrote %s@." path
-    end
+    let (_, merged), shard_s =
+      wall (fun () ->
+          Slpdas_sim.Shard.run_coupled ?domains plan
+            ~link:Slpdas_sim.Link_model.Ideal ~seed ~program:scale_wave_program
+            ~until)
+    in
+    Format.printf
+      "coupled run: %d cells (%d cut links, %d boundary nodes), %.1f s sim in \
+       %.3f s wall; %d broadcasts, %d deliveries@."
+      (Array.length plan.Slpdas_sim.Shard.cells)
+      plan.Slpdas_sim.Shard.cut_links
+      (Slpdas_sim.Shard.boundary_nodes plan)
+      until shard_s merged.Slpdas_sim.Event.broadcasts
+      merged.Slpdas_sim.Event.deliveries;
+    match json with
+    | None -> ()
+    | Some path ->
+      (* Coupled observables are cell-count- and domain-count-invariant
+         (byte-identical to the unsharded sequential engine), so the JSON
+         carries only decomposition-free facts — make couple-smoke diffs
+         exactly this file across --cells and --domains. *)
+      let oc = open_out path in
+      Printf.fprintf oc
+        "{\"dim\": %d, \"nodes\": %d, \"edges\": %d, \"period_length\": %d, \
+         \"strong_violations\": %d, \"verify_outcome\": %S, \"coupled\": %s}\n"
+        dim n
+        (Slpdas_wsn.Graph.num_edges g)
+        (Slpdas_core.Das_build.schedule_length schedule)
+        (List.length strong) outcome
+        (Slpdas_sim.Event.to_json merged);
+      close_out oc;
+      Format.printf "scale: wrote %s@." path
   in
   let cells_arg =
     Arg.(
@@ -786,26 +749,15 @@ let scale_cmd =
       & opt (int_at_least 1) 4
       & info [ "cells" ] ~docv:"C"
           ~doc:
-            "Partition the grid into CxC spatial cells for the sharded run; \
-             at least 1.")
+            "Partition the grid into CxC radio-coupled spatial cells; the \
+             observables do not depend on C.  At least 1.")
   in
   let until_arg =
     Arg.(
       value
       & opt non_negative_float 3.0
       & info [ "until" ] ~docv:"SECS"
-          ~doc:"Simulated seconds for the sharded engine run; at least 0.")
-  in
-  let couple_arg =
-    Arg.(
-      value & flag
-      & info [ "couple" ]
-          ~doc:
-            "Keep cut edges radio-coupled: run the cells as a conservative \
-             parallel discrete-event simulation (lookahead windows, boundary \
-             mailboxes) whose observables are byte-identical to the \
-             unsharded sequential engine at any $(b,--cells) and \
-             $(b,--domains) value.")
+          ~doc:"Simulated seconds for the coupled engine run; at least 0.")
   in
   let json_arg =
     Arg.(
@@ -814,16 +766,16 @@ let scale_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:
             "Write the run's deterministic observables (schedule facts, \
-             verdict, sharded counters; no timings) as JSON to FILE.")
+             verdict, coupled counters; no timings) as JSON to FILE.")
   in
   Cmd.v
     (Cmd.info "scale"
        ~doc:
          "Large-grid scaling probe: DAS build, attacker verification and a \
-          sharded engine run")
+          coupled sharded engine run")
     Term.(
       const run $ dim_arg $ seed_arg $ cells_arg $ domains_arg $ until_arg
-      $ couple_arg $ json_arg)
+      $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                              *)

@@ -101,7 +101,6 @@ module State = struct
     mutable location : int;
     mutable buffer : heard list;  (* reversed arrival order *)
     mutable moves_made : int;
-    mutable total_moves : int;
     mutable history : int list;
     mutable path_rev : int list;
   }
@@ -112,7 +111,6 @@ module State = struct
       location = params.start;
       buffer = [];
       moves_made = 0;
-      total_moves = 0;
       history = [];
       path_rev = [ params.start ];
     }
@@ -122,8 +120,6 @@ module State = struct
   let location t = t.location
 
   let moves_made t = t.moves_made
-
-  let total_moves t = t.total_moves
 
   let history t = t.history
 
@@ -154,10 +150,7 @@ module State = struct
       let moved = next <> t.location in
       t.location <- next;
       t.moves_made <- t.moves_made + 1;
-      if moved then begin
-        t.total_moves <- t.total_moves + 1;
-        t.path_rev <- next :: t.path_rev
-      end;
+      if moved then t.path_rev <- next :: t.path_rev;
       moved
     end
 

@@ -102,8 +102,6 @@ module State : sig
   val moves_made : t -> int
   (** Moves made in the current period. *)
 
-  val total_moves : t -> int
-
   val history : t -> int list
   (** Most-recent-first, length ≤ [h]. *)
 

@@ -23,8 +23,6 @@ type violation =
       (** weak condition 3: no neighbour of [node] is the sink or transmits
           later, so [node]'s data cannot make progress *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val violation_to_string : violation -> string
 
 val non_colliding : Slpdas_wsn.Graph.t -> Schedule.t -> int -> bool

@@ -36,6 +36,3 @@ let with_monitor monitor t = { t with monitors = t.monitors @ [ monitor ] }
 let with_faults arm t = { t with faults = t.faults @ [ arm ] }
 
 let with_engine_impl impl t = { t with engine_impl = impl }
-
-let map_result f t =
-  { t with extract = (fun engine obs -> f (t.extract engine obs)) }

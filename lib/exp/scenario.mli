@@ -88,6 +88,3 @@ val with_engine_impl :
 (** Select the engine implementation (default [Fast]); the equivalence
     tests rerun a scenario under [Reference] and compare observables. *)
 
-val map_result : ('r -> 'q) -> ('s, 'm, 'obs, 'r) t -> ('s, 'm, 'obs, 'q) t
-(** Post-compose the extractor — e.g. project a full result down to the
-    fields a sweep aggregates. *)

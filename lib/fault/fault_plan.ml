@@ -53,6 +53,27 @@ let parse_float what s =
   | Some f -> Ok f
   | None -> Error (Printf.sprintf "%s: bad number %S" what s)
 
+let parse_non_negative what s =
+  let* f = parse_float what s in
+  if Float.is_finite f && f >= 0.0 then Ok f
+  else
+    Error
+      (Printf.sprintf "%s must be finite and >= 0, got %S" what (String.trim s))
+
+(* NaN fails both comparisons, so it is rejected with the out-of-range
+   values. *)
+let parse_probability what s =
+  let* f = parse_float what s in
+  if f >= 0.0 && f <= 1.0 then Ok f
+  else Error (Printf.sprintf "%s must be in [0, 1], got %S" what (String.trim s))
+
+(* A box side may be infinite (an unbounded region), but a NaN side would
+   silently select no node. *)
+let parse_bound what s =
+  let* f = parse_float what s in
+  if Float.is_nan f then Error (Printf.sprintf "%s: bad number %S" what s)
+  else Ok f
+
 let parse_int what s =
   match int_of_string_opt (String.trim s) with
   | Some i -> Ok i
@@ -81,14 +102,15 @@ let parse_target s =
         Ok (Node v)
       | "k" ->
         let* k = parse_int "target k" v in
-        Ok (Random_nodes k)
+        if k < 0 then Error (Printf.sprintf "target k must be >= 0, got %d" k)
+        else Ok (Random_nodes k)
       | "region" ->
         (match String.split_on_char ',' v with
         | [ x0; y0; x1; y1 ] ->
-          let* x0 = parse_float "region x0" x0 in
-          let* y0 = parse_float "region y0" y0 in
-          let* x1 = parse_float "region x1" x1 in
-          let* y1 = parse_float "region y1" y1 in
+          let* x0 = parse_bound "region x0" x0 in
+          let* y0 = parse_bound "region y0" y0 in
+          let* x1 = parse_bound "region x1" x1 in
+          let* y1 = parse_bound "region y1" y1 in
           Ok (Region { x0; y0; x1; y1 })
         | _ -> Error (Printf.sprintf "region: expected x0,y0,x1,y1, got %S" v))
       | _ -> Error (Printf.sprintf "target: unknown key %S" key))
@@ -103,7 +125,7 @@ let parse_entry s =
     (match String.index_opt rest ':' with
     | None -> Error (Printf.sprintf "entry %S: missing ':'" s)
     | Some j ->
-      let* at = parse_float "time" (String.sub rest 0 j) in
+      let* at = parse_non_negative "time" (String.sub rest 0 j) in
       let args = String.sub rest (j + 1) (String.length rest - j - 1) in
       let* action =
         match kind with
@@ -124,7 +146,7 @@ let parse_entry s =
           (match String.split_on_char ',' args with
           | [ edge; p ] ->
             let* a, b = parse_edge "degrade" edge in
-            let* loss = parse_float "degrade loss" p in
+            let* loss = parse_probability "degrade loss" p in
             Ok (Degrade { a; b; loss })
           | _ -> Error (Printf.sprintf "degrade: expected A-B,p, got %S" args))
         | "restore" ->
@@ -133,8 +155,8 @@ let parse_entry s =
         | "burst" ->
           (match String.split_on_char ',' args with
           | [ p; d ] ->
-            let* loss = parse_float "burst loss" p in
-            let* duration = parse_float "burst duration" d in
+            let* loss = parse_probability "burst loss" p in
+            let* duration = parse_non_negative "burst duration" d in
             Ok (Loss_burst { loss; duration })
           | _ -> Error (Printf.sprintf "burst: expected p,duration, got %S" args))
         | _ -> Error (Printf.sprintf "unknown fault kind %S" kind)
@@ -167,16 +189,45 @@ type op =
 
 type resolved = { time : float; op : op }
 
+let validate ~topology plan =
+  let n = Slpdas_wsn.Graph.n topology.Slpdas_wsn.Topology.graph in
+  let sink = topology.Slpdas_wsn.Topology.sink in
+  let node what v =
+    if v < 0 || v >= n then
+      Error (Printf.sprintf "%s node %d out of range" what v)
+    else Ok ()
+  in
+  let link what a b =
+    let* () = node what a in
+    node what b
+  in
+  List.fold_left
+    (fun acc { action; _ } ->
+      let* () = acc in
+      match action with
+      | Crash (Node v) ->
+        let* () = node "crash" v in
+        if v = sink then Error "cannot crash the sink" else Ok ()
+      | Crash All_crashed -> Error "crash target 'all' is unsupported"
+      | Revive (Node v) -> node "revive" v
+      | Revive (Random_nodes _) -> Error "revive target k=… is unsupported"
+      | Crash (Random_nodes _ | Region _) | Revive (Region _ | All_crashed) ->
+        Ok ()
+      | Link_down { a; b } -> link "linkdown" a b
+      | Degrade { a; b; _ } -> link "degrade" a b
+      | Restore_link { a; b } -> link "restore" a b
+      | Loss_burst _ -> Ok ())
+    (Ok ()) plan
+
 let compile ?(protect = []) ~topology ~seed plan =
   let graph = topology.Slpdas_wsn.Topology.graph in
   let n = Slpdas_wsn.Graph.n graph in
   let sink = topology.Slpdas_wsn.Topology.sink in
   let positions = topology.Slpdas_wsn.Topology.positions in
+  (match validate ~topology plan with
+  | Ok () -> ()
+  | Error reason -> invalid_arg ("Fault_plan.compile: " ^ reason));
   let rng = Slpdas_util.Rng.create seed in
-  let check_node what v =
-    if v < 0 || v >= n then
-      invalid_arg (Printf.sprintf "Fault_plan.compile: %s node %d out of range" what v)
-  in
   (* Entries resolve in time order so that stateful targets (All_crashed,
      the crashed-set exclusion of Random_nodes) see the set of nodes down
      at that plan instant. *)
@@ -195,10 +246,7 @@ let compile ?(protect = []) ~topology ~seed plan =
     !acc
   in
   let resolve_crash = function
-    | Node v ->
-      check_node "crash" v;
-      if v = sink then invalid_arg "Fault_plan.compile: cannot crash the sink";
-      [ v ]
+    | Node v -> [ v ]
     | Random_nodes k ->
       let candidates = ref [] in
       for v = n - 1 downto 0 do
@@ -209,17 +257,13 @@ let compile ?(protect = []) ~topology ~seed plan =
       Slpdas_util.Rng.shuffle rng arr;
       Array.to_list (Array.sub arr 0 (min k (Array.length arr)))
     | Region { x0; y0; x1; y1 } -> region_nodes ~x0 ~y0 ~x1 ~y1
-    | All_crashed ->
-      invalid_arg "Fault_plan.compile: crash target 'all' is unsupported"
+    | All_crashed -> assert false (* rejected by [validate] *)
   in
   let resolve_revive = function
-    | Node v ->
-      check_node "revive" v;
-      [ v ]
+    | Node v -> [ v ]
     | Region { x0; y0; x1; y1 } -> region_nodes ~x0 ~y0 ~x1 ~y1
     | All_crashed -> !crashed
-    | Random_nodes _ ->
-      invalid_arg "Fault_plan.compile: revive target k=… is unsupported"
+    | Random_nodes _ -> assert false (* rejected by [validate] *)
   in
   let ops =
     List.concat_map
@@ -234,16 +278,10 @@ let compile ?(protect = []) ~topology ~seed plan =
           crashed := List.filter (fun c -> not (List.mem c vs)) !crashed;
           List.map (fun v -> { time = at; op = Restart v }) vs
         | Link_down { a; b } ->
-          check_node "linkdown" a;
-          check_node "linkdown" b;
           [ { time = at; op = Set_link { a; b; loss = 1.0 } } ]
         | Degrade { a; b; loss } ->
-          check_node "degrade" a;
-          check_node "degrade" b;
           [ { time = at; op = Set_link { a; b; loss } } ]
         | Restore_link { a; b } ->
-          check_node "restore" a;
-          check_node "restore" b;
           [ { time = at; op = Set_link { a; b; loss = 0.0 } } ]
         | Loss_burst { loss; duration } ->
           [

@@ -62,7 +62,11 @@ val to_string : t -> string
     equivalent plan. *)
 
 val of_string : string -> (t, string) result
-(** Parse the concrete syntax; [Error] carries a human-readable reason. *)
+(** Parse the concrete syntax; [Error] carries a human-readable reason.
+    Besides malformed text it rejects every value no topology can make
+    valid: a negative or non-finite time or burst duration, a loss
+    probability outside [\[0, 1\]], a negative [k] and a NaN region
+    bound. *)
 
 (** {2 Compilation} *)
 
@@ -75,6 +79,14 @@ type op =
 
 type resolved = { time : float; op : op }
 
+val validate :
+  topology:Slpdas_wsn.Topology.t -> t -> (unit, string) result
+(** [Ok ()] iff {!compile} accepts the plan on [topology]: every named node
+    (crash/revive target, link endpoint) exists, no entry crashes the sink,
+    and no entry uses a [Crash All_crashed] or a [Revive (Random_nodes _)].
+    [Error] names the problem of the first offending entry, in list
+    order. *)
+
 val compile :
   ?protect:int list ->
   topology:Slpdas_wsn.Topology.t ->
@@ -85,5 +97,5 @@ val compile :
     The sink is never crashed; [protect] shields further nodes (typically
     the data sources) from [Random_nodes] draws.  [Loss_burst] expands to a
     set/clear pair of [Set_global] operations.
-    @raise Invalid_argument on out-of-range nodes, a [Crash (Node sink)],
-    a [Crash All_crashed] or a [Revive (Random_nodes _)]. *)
+    @raise Invalid_argument with {!validate}'s reason when it rejects the
+    plan. *)

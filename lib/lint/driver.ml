@@ -79,9 +79,6 @@ let files_under roots =
     roots;
   List.sort String.compare !out
 
-let check_file config path =
-  check_source config ~path ~source:(read_file path)
-
 (* ------------------------------------------------------------------ *)
 (* Typed tier                                                         *)
 (* ------------------------------------------------------------------ *)

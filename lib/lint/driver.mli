@@ -39,8 +39,6 @@ val check_source_typed :
     per-file rules, flow analyses and purity certification.  A unit that
     does not type yields a single [typed-load] diagnostic. *)
 
-val check_file : config -> string -> Diagnostic.t list
-
 val read_file : string -> string
 (** Slurp a file (binary mode); exposed for the CLI's allowlist loading. *)
 

@@ -37,8 +37,6 @@ type state = {
       (* Ident.unique_name of a module alias -> resolved components *)
   topvals : (string, string list) Hashtbl.t;
       (* Ident.unique_name of a unit-top-level value/module -> components *)
-  local_fns : (string, expression) Hashtbl.t;
-      (* Ident.unique_name -> function literal it is let-bound to *)
 }
 
 let rec components st p =
@@ -56,11 +54,6 @@ let rec components st p =
   | _ -> []
 
 let name st p = String.concat "." (components st p)
-
-let local_fn st p =
-  match p with
-  | Path.Pident id -> Hashtbl.find_opt st.local_fns (Ident.unique_name id)
-  | _ -> None
 
 let suffix_matches comps ~suffix =
   let rec drop n xs = if n <= 0 then xs else match xs with
@@ -87,7 +80,6 @@ let state_of_unit ~unit_name structure =
       unit_comps = split_dunder unit_name;
       aliases = Hashtbl.create 16;
       topvals = Hashtbl.create 64;
-      local_fns = Hashtbl.create 32;
     }
   in
   (* Pass 1: module aliases anywhere in the unit (structure level, nested
@@ -124,17 +116,10 @@ let state_of_unit ~unit_name structure =
         match item.str_desc with
         | Tstr_value (_, vbs) ->
           List.iter
-            (fun vb ->
-              List.iter
-                (fun id ->
-                  Hashtbl.replace st.topvals (Ident.unique_name id)
-                    (prefix @ [ Ident.name id ]))
-                (let_bound_idents [ vb ]);
-              match (vb.vb_pat.pat_desc, is_function_literal vb.vb_expr) with
-              | Tpat_var (id, _), true ->
-                Hashtbl.replace st.local_fns (Ident.unique_name id) vb.vb_expr
-              | _ -> ())
-            vbs
+            (fun id ->
+              Hashtbl.replace st.topvals (Ident.unique_name id)
+                (prefix @ [ Ident.name id ]))
+            (let_bound_idents vbs)
         | Tstr_module mb -> sub_module prefix mb
         | Tstr_recmodule mbs -> List.iter (sub_module prefix) mbs
         | _ -> ())

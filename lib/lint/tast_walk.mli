@@ -23,8 +23,6 @@ val components : state -> Path.t -> string list
 
 val name : state -> Path.t -> string
 
-val suffix_matches : string list -> suffix:string list -> bool
-
 val head_path : Typedtree.expression -> Path.t option
 (** The variable at the root of a mutation or read target ([r] in
     [r := x], [t.f <- x], [!r]); [None] for computed values such as array
@@ -47,10 +45,6 @@ val is_function_literal : Typedtree.expression -> bool
 
 val unwrap_module_expr : Typedtree.module_expr -> Typedtree.module_expr
 (** Strip [Tmod_constraint] wrappers. *)
-
-val local_fn : state -> Path.t -> Typedtree.expression option
-(** The function literal a unit-top-level ident was let-bound to, if any;
-    used to analyze [Pool.map pool helper xs] where [helper] is local. *)
 
 val check :
   state ->

@@ -22,21 +22,16 @@ val recommended : unit -> int
 (** [Domain.recommended_domain_count ()]: the parallelism the hardware
     supports, used as the default pool size. *)
 
-val create : ?domains:int -> unit -> t
-(** [create ~domains ()] spawns [domains - 1] worker domains (the caller's
-    domain is the remaining worker).  Default {!recommended}.
-    @raise Invalid_argument if [domains < 1]. *)
-
 val size : t -> int
 (** Total parallelism, including the calling domain. *)
 
-val shutdown : t -> unit
-(** Join all worker domains.  Idempotent.  Must not be called while a map is
-    in flight. *)
-
 val with_pool : ?domains:int -> (t -> 'a) -> 'a
-(** [with_pool ~domains f] runs [f] with a fresh pool and shuts it down
-    afterwards, whether [f] returns or raises. *)
+(** [with_pool ~domains f] spawns [domains - 1] worker domains (the
+    caller's domain is the remaining worker; default {!recommended}), runs
+    [f] with that pool and joins the workers afterwards, whether [f]
+    returns or raises.  This is the only way to obtain a pool, so no worker
+    domain outlives its [with_pool].
+    @raise Invalid_argument if [domains < 1]. *)
 
 val map : t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] is [List.map f xs], computed by all of the pool's

@@ -233,9 +233,8 @@ let wave_program_gen ~zero ~flood ~self =
     spontaneous = [];
   }
 
-let wave_program_if ~flood ~self = wave_program_gen ~zero:false ~flood ~self
-
-let wave_program ~self = wave_program_if ~flood:(fun v -> v = 0) ~self
+let wave_program ~self =
+  wave_program_gen ~zero:false ~flood:(fun v -> v = 0) ~self
 
 let zero_wave_program ~self =
   wave_program_gen ~zero:true ~flood:(fun v -> v = 0) ~self
@@ -370,118 +369,6 @@ let test_stop_equivalence () =
     (run ~batch_cutover:0 Engine.Fast)
 
 (* ------------------------------------------------------------------ *)
-(* Spatial sharding: single-cell plans are exactly the unsharded run; *)
-(* cell-disjoint topologies oracle the multi-cell merge; and domain   *)
-(* count never changes a byte of the output.                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_shard_single_cell () =
-  let topology = Topology.grid 6 in
-  List.iter
-    (fun (name, link) ->
-      let plan = Shard.plan ~cells_x:1 ~cells_y:1 topology in
-      Alcotest.(check int) (name ^ ": one cell") 1 (Array.length plan.Shard.cells);
-      Alcotest.(check int) (name ^ ": no cut edges") 0 plan.Shard.cut_edges;
-      List.iter
-        (fun impl ->
-          let per_cell, merged =
-            Shard.run ~impl plan ~link ~seed:42
-              ~program:(fun ~cell:_ ~self -> wave_program ~self)
-              ~until:8.0
-          in
-          (* The unsharded twin must consume the same RNG stream the plan
-             hands its only cell: the first split of the master seed. *)
-          let rng = Rng.split (Rng.create 42) in
-          let e =
-            Engine.create ~impl ~topology ~link ~rng ~program:wave_program ()
-          in
-          Engine.run_until e 8.0;
-          check_counters
-            (name ^ ": single cell = unsharded")
-            (Engine.counters e) merged;
-          check_counters (name ^ ": merged = only cell") merged per_cell.(0))
-        [ Engine.Fast; Engine.Reference ])
-    links
-
-(* Two grid-6 copies, ids offset by n, 1 km apart: a 2x1 plan bins each
-   copy into its own cell with no cut edges, so with an RNG-free link model
-   the sharded run and the unsharded union run are the same physics. *)
-let twin_topology () =
-  let base = Topology.grid 6 in
-  let g = base.Topology.graph in
-  let n = Graph.n g in
-  let offsets = Array.make ((2 * n) + 1) 0 in
-  for v = 0 to (2 * n) - 1 do
-    offsets.(v + 1) <- offsets.(v) + Graph.degree g (v mod n)
-  done;
-  let targets = Array.make offsets.(2 * n) 0 in
-  let pos = ref 0 in
-  for copy = 0 to 1 do
-    for v = 0 to n - 1 do
-      Array.iter
-        (fun w ->
-          targets.(!pos) <- w + (copy * n);
-          incr pos)
-        (Graph.neighbours g v)
-    done
-  done;
-  let graph = Graph.of_csr ~n:(2 * n) ~offsets ~targets in
-  let positions =
-    Array.init (2 * n) (fun v ->
-        let x, y = base.Topology.positions.(v mod n) in
-        if v < n then (x, y) else (x +. 1000.0, y))
-  in
-  {
-    Topology.name = "twin-grid-6";
-    graph;
-    positions;
-    source = 0;
-    sink = base.Topology.sink;
-  }
-
-let test_shard_disjoint_cells () =
-  let topology = twin_topology () in
-  let n = Graph.n topology.Topology.graph / 2 in
-  let flooder v = v mod n = 0 in
-  let plan = Shard.plan ~cells_x:2 ~cells_y:1 topology in
-  Alcotest.(check int) "two cells" 2 (Array.length plan.Shard.cells);
-  Alcotest.(check int) "no cut edges" 0 plan.Shard.cut_edges;
-  let _, merged =
-    Shard.run plan ~link:Link_model.Ideal ~seed:7
-      ~program:(fun ~cell ~self ->
-        wave_program_if ~flood:(fun lv -> flooder cell.Shard.nodes.(lv)) ~self)
-      ~until:8.0
-  in
-  let e =
-    Engine.create ~topology ~link:Link_model.Ideal ~rng:(Rng.create 7)
-      ~program:(wave_program_if ~flood:flooder)
-      ()
-  in
-  Engine.run_until e 8.0;
-  check_counters "disjoint cells = unsharded union" (Engine.counters e) merged
-
-let test_shard_domain_invariance () =
-  let topology = Topology.grid 7 in
-  let plan = Shard.plan ~cells_x:2 ~cells_y:2 topology in
-  Alcotest.(check int) "four cells" 4 (Array.length plan.Shard.cells);
-  Alcotest.(check bool) "grid cells cut radio links" true
-    (plan.Shard.cut_edges > 0);
-  List.iter
-    (fun (name, link) ->
-      let run domains =
-        Shard.run ~domains plan ~link ~seed:11
-          ~program:(fun ~cell:_ ~self -> wave_program ~self)
-          ~until:6.0
-      in
-      let pc1, m1 = run 1 in
-      let pc2, m2 = run 2 in
-      Alcotest.(check string)
-        (name ^ ": sharded JSON identical across domain counts")
-        (Shard.counters_json pc1 m1)
-        (Shard.counters_json pc2 m2))
-    links
-
-(* ------------------------------------------------------------------ *)
 (* Coupled sharding: cells stay radio-coupled over cut edges and run  *)
 (* in conservative lookahead windows.  The contract is byte-identity  *)
 (* with the unsharded sequential engine (Shard.sequential_engine) at  *)
@@ -560,27 +447,93 @@ let check_obs ?(skip_link_changes = false) label expected actual =
         expected.o_fired.(v) actual.o_fired.(v))
     expected.o_states
 
-let coupled_topologies () =
-  [ ("grid6", Topology.grid 6); ("ring24", Topology.ring 24) ]
+(* Two grid-6 copies, ids offset by n, 1 km apart: a 2x1 or 3x1 plan bins
+   each copy into its own cell and cuts no link, so the coupled run has no
+   mailbox at all. *)
+let twin_topology () =
+  let base = Topology.grid 6 in
+  let g = base.Topology.graph in
+  let n = Graph.n g in
+  let offsets = Array.make ((2 * n) + 1) 0 in
+  for v = 0 to (2 * n) - 1 do
+    offsets.(v + 1) <- offsets.(v) + Graph.degree g (v mod n)
+  done;
+  let targets = Array.make offsets.(2 * n) 0 in
+  let pos = ref 0 in
+  for copy = 0 to 1 do
+    for v = 0 to n - 1 do
+      Array.iter
+        (fun w ->
+          targets.(!pos) <- w + (copy * n);
+          incr pos)
+        (Graph.neighbours g v)
+    done
+  done;
+  let graph = Graph.of_csr ~n:(2 * n) ~offsets ~targets in
+  let positions =
+    Array.init (2 * n) (fun v ->
+        let x, y = base.Topology.positions.(v mod n) in
+        if v < n then (x, y) else (x +. 1000.0, y))
+  in
+  {
+    Topology.name = "twin-grid-6";
+    graph;
+    positions;
+    source = 0;
+    sink = base.Topology.sink;
+  }
 
-(* Structural plan invariants: directed arcs double-count radio links, the
-   deprecated alias tracks the link count, and the per-cell port rows sum
-   back to the arc count. *)
+let coupled_topologies () =
+  [
+    ("grid6", Topology.grid 6);
+    ("ring24", Topology.ring 24);
+    ("twin6", twin_topology ());
+  ]
+
+(* Structural plan invariants, against the base graph: [cut_links] counts
+   the links whose ends lie in different cells, each such link gives one
+   port to either end (so the port rows sum to twice the count), and
+   [boundary_nodes] counts the nodes owning a port. *)
 let check_plan_accounting label (plan : Shard.plan) =
-  Alcotest.(check int)
-    (label ^ ": cut_arcs = 2 * cut_links")
-    (2 * plan.Shard.cut_links) plan.Shard.cut_arcs;
-  Alcotest.(check int)
-    (label ^ ": cut_edges aliases cut_links")
-    plan.Shard.cut_links plan.Shard.cut_edges;
+  let g = plan.Shard.base.Topology.graph in
+  let cut = ref 0 and boundary = ref 0 in
+  for v = 0 to Graph.n g - 1 do
+    let foreign w = plan.Shard.cell_of_node.(w) <> plan.Shard.cell_of_node.(v) in
+    Array.iter (fun w -> if v < w && foreign w then incr cut) (Graph.neighbours g v);
+    if Array.exists foreign (Graph.neighbours g v) then incr boundary
+  done;
+  Alcotest.(check int) (label ^ ": cut_links") !cut plan.Shard.cut_links;
   let port_rows =
     Array.fold_left
       (fun acc c ->
         acc + c.Shard.ports_off.(Array.length c.Shard.nodes))
       0 plan.Shard.cells
   in
-  Alcotest.(check int) (label ^ ": port rows sum to cut_arcs") plan.Shard.cut_arcs
-    port_rows
+  Alcotest.(check int)
+    (label ^ ": port rows sum to 2 * cut_links")
+    (2 * plan.Shard.cut_links) port_rows;
+  Alcotest.(check int) (label ^ ": boundary_nodes") !boundary
+    (Shard.boundary_nodes plan)
+
+(* Plans that must cut nothing (one cell; the twin's copies in separate
+   cells) and plans that must cut links (grid cells, 16 cells of the
+   101x101 grid). *)
+let test_plan_cut_links () =
+  let check_plan label ~cells ~cuts plan =
+    check_plan_accounting label plan;
+    Alcotest.(check int) (label ^ ": cells") cells
+      (Array.length plan.Shard.cells);
+    Alcotest.(check bool) (label ^ ": cuts links") cuts
+      (plan.Shard.cut_links > 0)
+  in
+  check_plan "grid6/1x1" ~cells:1 ~cuts:false
+    (Shard.plan ~cells_x:1 ~cells_y:1 (Topology.grid 6));
+  check_plan "twin6/2x1" ~cells:2 ~cuts:false
+    (Shard.plan ~cells_x:2 ~cells_y:1 (twin_topology ()));
+  check_plan "grid7/2x2" ~cells:4 ~cuts:true
+    (Shard.plan ~cells_x:2 ~cells_y:2 (Topology.grid 7));
+  check_plan "grid101/4x4" ~cells:16 ~cuts:true
+    (Shard.plan ~cells_x:4 ~cells_y:4 (Topology.grid 101))
 
 let test_coupled_vs_sequential () =
   List.iter
@@ -849,7 +802,8 @@ let test_coupled_domain_invariance () =
           Shard.run_coupled ~domains plan ~link ~seed:42 ~program:wave_program
             ~until:6.0
         in
-        Shard.counters_json per_cell merged
+        String.concat ", "
+          (List.map Event.to_json (merged :: Array.to_list per_cell))
       in
       let j1 = run 1 in
       List.iter
@@ -1134,17 +1088,10 @@ let () =
             test_das_with_crashes;
           Alcotest.test_case "mid-run stop" `Quick test_stop_equivalence;
         ] );
-      ( "spatial sharding",
-        [
-          Alcotest.test_case "single cell = unsharded" `Quick
-            test_shard_single_cell;
-          Alcotest.test_case "disjoint cells = unsharded union" `Quick
-            test_shard_disjoint_cells;
-          Alcotest.test_case "domain-count invariance" `Quick
-            test_shard_domain_invariance;
-        ] );
       ( "coupled sharding",
         [
+          Alcotest.test_case "plan: cut links and ports" `Quick
+            test_plan_cut_links;
           Alcotest.test_case "coupled = sequential, links x topologies" `Quick
             test_coupled_vs_sequential;
           Alcotest.test_case "boundary crash + faults mid-window" `Quick

@@ -50,6 +50,17 @@ let test_plan_errors () =
       "crash@5";
       "linkdown@5:1+2";
       "crash@5:planet=9";
+      (* values no topology can make valid *)
+      "crash@-5:node=3";
+      "crash@nan:node=3";
+      "crash@inf:node=3";
+      "crash@250:k=-2";
+      "degrade@100:1-2,1.5";
+      "degrade@100:1-2,nan";
+      "burst@100:-0.5,20";
+      "burst@100:0.5,-200";
+      "burst@100:0.5,inf";
+      "crash@1:region=nan,0,9,9";
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -127,18 +138,48 @@ let test_compile_burst_and_links () =
     Alcotest.(check (float 0.0)) "burst clears" 0.0 g2
   | _ -> Alcotest.fail "unexpected operation shapes"
 
+(* [compile] raises on exactly the plans [validate] rejects, with its
+   reason. *)
 let test_compile_rejects () =
   let topology = Topology.grid 5 in
   List.iter
-    (fun text ->
-      let plan = parse_ok text in
-      Alcotest.check_raises ("compile rejects " ^ text)
-        (Invalid_argument
-           (match text with
-           | "crash@1:node=12" -> "Fault_plan.compile: cannot crash the sink"
-           | _ -> "Fault_plan.compile: crash node 99 out of range"))
-        (fun () -> ignore (Fault_plan.compile ~topology ~seed:1 plan)))
-    [ "crash@1:node=12" (* grid-5 sink *); "crash@1:node=99" ]
+    (fun (label, plan, expected) ->
+      let compiled =
+        match Fault_plan.compile ~topology ~seed:1 plan with
+        | _ -> Ok ()
+        | exception Invalid_argument msg -> Error msg
+      in
+      Alcotest.(check (result unit string))
+        ("validate " ^ label) expected
+        (Fault_plan.validate ~topology plan);
+      Alcotest.(check (result unit string))
+        ("compile " ^ label)
+        (Result.map_error (fun r -> "Fault_plan.compile: " ^ r) expected)
+        compiled)
+    (List.map
+       (fun (text, expected) -> (text, parse_ok text, expected))
+       [
+         ("crash@1:node=3;revive@2:all;degrade@3:0-24,0.5;crash@4:k=0", Ok ());
+         ("crash@1:node=12", Error "cannot crash the sink");
+         ("crash@1:node=25", Error "crash node 25 out of range");
+         ("crash@1:node=-1", Error "crash node -1 out of range");
+         ("revive@1:node=99", Error "revive node 99 out of range");
+         ("degrade@1:0-99999,0.5", Error "degrade node 99999 out of range");
+         ("restore@1:3-25", Error "restore node 25 out of range");
+         ( "crash@1:node=3;crash@9:node=30;crash@5:node=40",
+           Error "crash node 30 out of range" );
+       ]
+    @ [
+        ( "crash all",
+          [ Fault_plan.entry ~at:1.0 (Fault_plan.Crash Fault_plan.All_crashed) ],
+          Error "crash target 'all' is unsupported" );
+        ( "revive k",
+          [
+            Fault_plan.entry ~at:1.0
+              (Fault_plan.Revive (Fault_plan.Random_nodes 2));
+          ],
+          Error "revive target k=… is unsupported" );
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Alive-restricted checking                                          *)

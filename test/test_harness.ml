@@ -156,16 +156,6 @@ let test_monitor_does_not_change_result () =
   in
   Alcotest.(check bool) "bit-identical result" true (plain = monitored)
 
-let test_map_result () =
-  let captured =
-    Harness.run
-      (Scenario.map_result
-         (fun r -> r.Runner.captured)
-         (Runner.scenario (List.hd das_configs)))
-  in
-  Alcotest.(check bool) "projection applied"
-    (Runner.run (List.hd das_configs)).Runner.captured captured
-
 let () =
   Alcotest.run "harness"
     [
@@ -199,6 +189,5 @@ let () =
             test_monitor_runs_before_attach;
           Alcotest.test_case "monitor neutrality" `Quick
             test_monitor_does_not_change_result;
-          Alcotest.test_case "map_result" `Quick test_map_result;
         ] );
     ]

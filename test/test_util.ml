@@ -431,7 +431,7 @@ let test_pool_exception_propagates () =
 let test_pool_invalid_domains () =
   Alcotest.check_raises "zero domains rejected"
     (Invalid_argument "Pool.create: domains must be >= 1") (fun () ->
-      ignore (Pool.create ~domains:0 ()))
+      ignore (Pool.with_pool ~domains:0 Pool.size))
 
 let prop_pool_matches_list_map =
   QCheck.Test.make ~count:100

@@ -186,10 +186,16 @@ pipeline-smoke:
 # deliveries and attacker moves are seed-determined and pinned exactly;
 # timer fires must stay below 20,000, because no-op setup rounds park their
 # timers (a run that simulates every round fires about 188,500).  These are
-# deterministic counts, not timings, so the gate cannot flake.
+# deterministic counts, not timings, so the gate cannot flake.  The whole
+# `--events-json` file of each run and the quickstart example's stdout are
+# also diffed against goldens in test/cli_golden, recorded before the Fast
+# engine batched deliveries on paper-scale grids: any drift in the paper's
+# 11x11 output fails the gate.
 des-smoke:
-	for case in '--slp|4436|15994|10' '|4270|15403|10'; do \
+	for case in '--slp|4436|15994|10|des_11_slp_events' \
+	  '|4270|15403|10|des_11_events'; do \
 	  mode=$${case%%|*}; rest=$${case#*|}; \
+	  golden=test/cli_golden/$${rest##*|}.json; rest=$${rest%|*}; \
 	  dune exec bin/slp_das_cli.exe -- simulate -d 11 $$mode \
 	    --events-json _build/des_events.json > /dev/null || exit 1; \
 	  count() { sed -n "s/^ *\"$$1\": \([0-9]*\),*$$/\1/p" _build/des_events.json; }; \
@@ -199,8 +205,13 @@ des-smoke:
 	  fires=$$(count timer_fires); \
 	  test "$$fires" -lt 20000 \
 	    || { echo "des-smoke: simulate $$mode fired $$fires timers (limit 20000)"; exit 1; }; \
+	  cmp _build/des_events.json $$golden \
+	    || { echo "des-smoke: simulate $$mode events JSON differs from $$golden"; exit 1; }; \
 	done
-	@echo "DES broadcasts, deliveries and attacker moves pinned; timer fires < 20000"
+	dune exec examples/quickstart.exe > _build/quickstart.txt
+	cmp _build/quickstart.txt test/cli_golden/quickstart.txt \
+	  || { echo "des-smoke: quickstart output differs from test/cli_golden/quickstart.txt"; exit 1; }
+	@echo "DES broadcasts, deliveries and attacker moves pinned; timer fires < 20000; events JSON and quickstart match their goldens"
 
 # Seeded DAS schedules at scale: the saved schedule files of seed-1
 # `schedule` runs on 101x101 and 317x317, protectionless and SLP-refined,

@@ -1441,7 +1441,7 @@ let wave_program ~self =
       handler =
         (fun ~self:_ wave trigger ->
           match trigger with
-          | Slpdas_gcn.Receive { msg; _ } when msg > wave ->
+          | Slpdas_gcn.Receive { msg; _ } when (msg : int) > wave ->
             Some (msg, [ Slpdas_gcn.Broadcast msg ])
           | _ -> None);
     }

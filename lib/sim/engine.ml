@@ -53,19 +53,20 @@ type 'm arrival = { sender : int; msg : 'm; rx : 'm Slpdas_gcn.trigger }
 type ('s, 'm) event =
   | Timer_fire of { node : int; timer : Slpdas_gcn.Timer.t; generation : int }
   | Deliver of { node : int; arrival : 'm arrival }
-      (* Reference impl: one event per (broadcast × delivered neighbour). *)
+      (* Reference impl: one event per (broadcast × delivered neighbour);
+         also a cut-edge arrival ingested by a coupled cell. *)
   | Deliver_batch of {
       arrival : 'm arrival;
       recipients : int array;
       keys : int array;
     }
-      (* Fast impl: one event per broadcast; [propagation_delay] is a
-         constant, so all of a broadcast's arrivals share one timestamp and
-         expand at pop time in adjacency order — the order the reference
-         impl pushes (and therefore pops) its singleton events in.  Under
-         coupling, [keys] holds each recipient's stable k2 (the batch event
-         itself is queued under the first); uncoupled batches leave it
-         empty. *)
+      (* Fast impl, at every network size: one event per broadcast;
+         [propagation_delay] is a constant, so all of a broadcast's arrivals
+         share one timestamp and expand at pop time in adjacency order —
+         the order the reference impl pushes (and therefore pops) its
+         singleton events in.  Under coupling, [keys] holds each
+         recipient's stable k2 (the batch event itself is queued under the
+         first); uncoupled batches leave it empty. *)
   | Callback of (('s, 'm) t -> unit)
 
 and ('s, 'm) t = {
@@ -108,19 +109,13 @@ and ('s, 'm) t = {
   mutable gen_stride : int;
   link_cache : link_cache;
   neighbours : int array array;  (* cached adjacency rows *)
-  batch_deliveries : bool;
-      (* Fast: fold each broadcast's arrivals into one batch event.  A win
-         on large networks (fewer heap operations), but on small ones the
-         inflated per-event work loses to the reference's singleton events,
-         so below [default_batch_cutover] nodes the fast impl pushes
-         singletons too — same draws, same order, same observables. *)
   scratch : int array;  (* delivered-recipient staging, max-degree sized *)
   scratch_keys : int array;  (* coupled batches: the recipients' k2 keys *)
   mutable now : float;
   mutable next_seq : int;
       (* push counter of the shared key lane: every push of an uncoupled
          engine (k1 = 0), the harness pushes of a coupled one (k1 = -1) *)
-  subscribers : ('m Event.t -> unit) Queue.t;
+  mutable subscribers : ('m Event.t -> unit) list;  (* registration order *)
   tally : Event.tally;
   broadcast_by_node : int array;
   mutable halted : bool;
@@ -157,10 +152,17 @@ let topology t = t.topology
 
 let node_state t v = Slpdas_gcn.Instance.state t.instances.(v)
 
-(* A Queue keeps registration O(1) while preserving registration order. *)
-let subscribe t f = Queue.add f t.subscribers
+(* Registration is rare and appends; [notify] walks the list with a
+   top-level loop, so an event costs no closure. *)
+let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
-let notify t ev = Queue.iter (fun f -> f ev) t.subscribers
+let rec notify_all ev = function
+  | [] -> ()
+  | f :: rest ->
+    f ev;
+    notify_all ev rest
+
+let notify t ev = notify_all ev t.subscribers
 
 let emit t ev =
   Event.record t.tally ev;
@@ -168,7 +170,7 @@ let emit t ev =
 
 (* The engine counts every event unconditionally (integer bumps); the event
    value itself is only allocated when someone is listening. *)
-let listening t = not (Queue.is_empty t.subscribers)
+let listening t = match t.subscribers with [] -> false | _ :: _ -> true
 
 let counters t = Event.snapshot t.tally
 
@@ -483,61 +485,55 @@ and apply_effect t node (effect_ : 'm Slpdas_gcn.effect_) =
 (* Uncoupled Fast fan-out.  RNG draws happen here, eagerly, in adjacency
    order — exactly the reference draw sequence — and drops are counted at
    broadcast time like the reference path.  Only the delivery *arrivals*
-   are deferred; above the batch cutover as one batch event, below it as
-   singleton events pushed in the reference's own order (so small runs skip
-   the batch-expansion overhead). *)
+   are deferred, as one batch event.  It takes a single push key where the
+   reference's singletons take consecutive ones, and nothing queued can key
+   between those, so the batch pops where its singletons would. *)
 and fast_broadcast t node a ~faults =
   let nbrs = t.neighbours.(node) in
-  let deg = Array.length nbrs in
-  let batch = t.batch_deliveries in
-  let count = ref 0 in
-  (match t.link_cache with
-  | Always_delivered when (not faults) && batch ->
-    Array.blit nbrs 0 t.scratch 0 deg;
-    count := deg
-  | _ ->
-    for i = 0 to deg - 1 do
-      let v = Array.unsafe_get nbrs i in
-      (* The fault layer runs after the base verdict, mirroring the
-         reference path's [&&] (same conditional draws, same order). *)
-      if
-        (not (cached_delivered t t.rng node i))
-        || (faults && fault_dropped t t.rng node v)
-      then drop_link t ~node:v ~sender:node
-      else if batch then begin
-        Array.unsafe_set t.scratch !count v;
-        incr count
-      end
-      else
-        push t
-          ~at:(t.now +. propagation_delay)
-          (Deliver { node = v; arrival = a })
-    done);
-  if batch && !count > 0 then
+  let recipients =
+    match t.link_cache with
+    | Always_delivered when not faults ->
+      (* Every neighbour hears it: the adjacency row itself is the
+         recipient list (batches never mutate it). *)
+      nbrs
+    | _ ->
+      let count = ref 0 in
+      for i = 0 to Array.length nbrs - 1 do
+        let v = Array.unsafe_get nbrs i in
+        (* The fault layer runs after the base verdict, mirroring the
+           reference path's [&&] (same conditional draws, same order). *)
+        if
+          (not (cached_delivered t t.rng node i))
+          || (faults && fault_dropped t t.rng node v)
+        then drop_link t ~node:v ~sender:node
+        else begin
+          Array.unsafe_set t.scratch !count v;
+          incr count
+        end
+      done;
+      Array.sub t.scratch 0 !count
+  in
+  if Array.length recipients > 0 then
     push t
       ~at:(t.now +. propagation_delay)
-      (Deliver_batch
-         {
-           arrival = a;
-           recipients = Array.sub t.scratch 0 !count;
-           keys = [||];
-         })
+      (Deliver_batch { arrival = a; recipients; keys = [||] })
 
 (* Coupled broadcast: walk the sender's local neighbours and boundary ports
    merged back into global-adjacency-row order ([ports_pos] marks the slots
    ports occupy; local neighbours, whose ascending local ids ascend globally
    too, fill the rest in order).  Every verdict draws from the sender's own
    lane, so the draw sequence is exactly the one the unsharded engine makes
-   for this node's full row — whatever other cells are doing.  Above the
-   batch cutover, local deliveries are staged with the k2 each would have
-   been pushed under and leave as one [Deliver_batch] keyed by the first;
-   [expand_keyed] replays them in key order.  Cut-edge deliveries always
-   leave one by one through [send]. *)
+   for this node's full row — whatever other cells are doing.  The Fast
+   impl stages local deliveries with the k2 each would have been pushed
+   under and sends them as one [Deliver_batch] keyed by the first;
+   [expand_keyed] replays them in key order.  The Reference impl pushes
+   singletons.  Cut-edge deliveries always leave one by one through
+   [send]. *)
 and coupled_broadcast t c node msg ~faults =
   let lane = c.lanes.(node) in
   let gnode = c.global_ids.(node) in
   let nbrs = t.neighbours.(node) in
-  let batch = t.batch_deliveries in
+  let batch = match t.impl with Fast -> true | Reference -> false in
   let count = ref 0 in
   let p_lo = c.ports_off.(node) and p_hi = c.ports_off.(node + 1) in
   let total = Array.length nbrs + (p_hi - p_lo) in
@@ -714,14 +710,7 @@ let build_link_cache ~impl ~topology ~link ~neighbours =
           rx_power;
         })
 
-(* Below this node count the fast impl pushes singleton delivery events
-   (reference order); above it, one batch event per broadcast.  Chosen so
-   the paper-scale grids (11x11 … 21x21) take the lighter small-run path
-   while anything approaching the ROADMAP's large deployments batches. *)
-let default_batch_cutover = 1024
-
-let create ?(impl = Fast) ?(batch_cutover = default_batch_cutover) ?airtime
-    ?coupling ~topology ~link ~rng ~program () =
+let create ?(impl = Fast) ?airtime ?coupling ~topology ~link ~rng ~program () =
   let graph = topology.Slpdas_wsn.Topology.graph in
   let n = Slpdas_wsn.Graph.n graph in
   (match (coupling, airtime) with
@@ -811,11 +800,6 @@ let create ?(impl = Fast) ?(batch_cutover = default_batch_cutover) ?airtime
       gen_stride = (match impl with Fast -> timer_slots | Reference -> 0);
       link_cache = build_link_cache ~impl ~topology ~link ~neighbours;
       neighbours;
-      batch_deliveries =
-        (* Coupled engines batch too: a coupled batch carries every
-           recipient's stable key, so it expands exactly where its singleton
-           events would have popped (see [expand_keyed]). *)
-        (match impl with Fast -> n > batch_cutover | Reference -> false);
       scratch = Array.make max_degree 0;
       scratch_keys =
         (match coupling with
@@ -823,7 +807,7 @@ let create ?(impl = Fast) ?(batch_cutover = default_batch_cutover) ?airtime
         | None -> [||]);
       now = 0.0;
       next_seq = 0;
-      subscribers = Queue.create ();
+      subscribers = [];
       tally = Event.tally_create ();
       broadcast_by_node = Array.make n 0;
       halted = false;
@@ -899,14 +883,28 @@ let rec pop_process t at =
     end
   | Deliver { node; arrival } -> deliver_one t ~node arrival
   | Deliver_batch { arrival; recipients; keys = [||] } ->
-    (* Expand in push (= adjacency) order.  [halted] is re-checked between
-       recipients because the reference impl's singleton events would stop
-       being popped as soon as a subscriber called [stop]. *)
+    (* Expand in push (= adjacency) order.  Nothing pushed meanwhile can
+       cut in: it takes a later push key than every singleton this batch
+       replaces.  A [stop] does: the reference's remaining singletons stay
+       queued, so the rest of the batch is re-queued under the batch's own
+       key, still ahead of everything pushed since. *)
     let k = Array.length recipients in
     let i = ref 0 in
-    while (not t.halted) && !i < k do
-      deliver_one t ~node:recipients.(!i) arrival;
-      incr i
+    while !i < k do
+      if !i > 0 && t.halted then begin
+        Event_queue.push q ~at ~k1:0 ~k2:t.cur_k2
+          (Deliver_batch
+             {
+               arrival;
+               recipients = Array.sub recipients !i (k - !i);
+               keys = [||];
+             });
+        i := k
+      end
+      else begin
+        deliver_one t ~node:recipients.(!i) arrival;
+        incr i
+      end
     done
   | Deliver_batch { arrival; recipients; keys } ->
     expand_keyed t arrival ~recipients ~keys

@@ -73,18 +73,8 @@ type 'm coupling = {
   send : at:float -> src:int -> sseq:int -> target:int -> msg:'m -> unit;
 }
 
-val default_batch_cutover : int
-(** Node count above which the [Fast] impl folds each broadcast's arrivals
-    into one batch event; at or below it, singleton delivery events are
-    pushed in the [Reference] impl's own order, so small (paper-scale) runs
-    skip the batch bookkeeping that only pays off on large networks.  The
-    two regimes are observably identical — the cutover trades constant
-    factors only.  A coupled engine applies the rule to its own (cell) node
-    count. *)
-
 val create :
   ?impl:impl ->
-  ?batch_cutover:int ->
   ?airtime:float ->
   ?coupling:'m coupling ->
   topology:Slpdas_wsn.Topology.t ->
@@ -104,10 +94,9 @@ val create :
     float unchanged) and raises [Invalid_argument] when [at] is before the
     current time.
 
-    [batch_cutover] (default {!default_batch_cutover}) selects the [Fast]
-    impl's delivery regime by node count; tests pass [~batch_cutover:0] to
-    force batching on small topologies so the differential oracle covers
-    both regimes.
+    The [Fast] impl folds each broadcast's delivered arrivals into one
+    batch event at every network size; the [Reference] impl pushes one
+    event per arrival.  Both pop, emit and count identically.
 
     [airtime] enables destructive-interference modelling: each transmission
     occupies the channel for [airtime] seconds, and a reception at [v] is
@@ -123,14 +112,15 @@ val create :
     {!type:coupling}): programs boot with global selves, events report
     global ids, same-time events are ordered by the schedule-independent
     stable key [(k1, k2)] instead of push order, every node draws from its
-    own RNG lane ([rng] is then unused).  Above the batch cutover a [Fast]
-    cell still folds each broadcast's {e local} deliveries into one batch
-    event, which carries every recipient's stable key and is queued under
-    the first; at pop time it expands in key order, and if an event pushed
-    meanwhile (a zero-delay timer, a harness [schedule] at the current time)
-    keys below the next recipient, or the engine stops, the rest of the
-    batch is re-queued under that recipient's key — so batched and
-    singleton cells pop, emit and report {!processing_key}s identically.
+    own RNG lane ([rng] is then unused).  A [Fast] cell still folds each
+    broadcast's {e local} deliveries into one batch event, which carries
+    every recipient's stable key and is queued under the first; at pop
+    time it expands in key order, and if an event pushed meanwhile (a
+    zero-delay timer, a harness [schedule] at the current time) keys below
+    the next recipient, or the engine stops, the rest of the batch is
+    re-queued under that recipient's key — so batched cells pop, emit and
+    report {!processing_key}s exactly as the [Reference] impl's singleton
+    cells do.
     Cut-edge deliveries always leave one by one through [send].  A
     coupled run driven through {!run_window}/{!ingest_delivery} barriers is
     byte-identical to the unsharded sequential engine built with the
@@ -153,7 +143,8 @@ val subscribe : ('s, 'm) t -> ('m Event.t -> unit) -> unit
     deliveries, drops, timer fires, and any harness events published with
     {!emit}.  This replaces the engine's former single [on_broadcast] hook;
     an eavesdropper filters for [Event.Broadcast] (it hears transmissions
-    regardless of per-link delivery outcomes). *)
+    regardless of per-link delivery outcomes).  An observer registered
+    while an event is being published first hears the next one. *)
 
 val emit : ('s, 'm) t -> 'm Event.t -> unit
 (** Publish a harness-level event (attacker move, phase transition, …) to
@@ -234,7 +225,8 @@ val step : ('s, 'm) t -> bool
 (** Process the next event.  [false] iff the queue was empty.  Under the
     [Fast] impl all of a broadcast's arrivals form one batch event, so a
     single [step] may process several receptions that the [Reference] impl
-    spreads over as many steps; {!run_until}-driven outcomes are
+    spreads over as many steps (after {!stop}, one per step, as the
+    [Reference] impl pops them); {!run_until}-driven outcomes are
     unaffected. *)
 
 val run_until : ('s, 'm) t -> float -> unit

@@ -239,20 +239,21 @@ let wave_program ~self =
 let zero_wave_program ~self =
   wave_program_gen ~zero:true ~flood:(fun v -> v = 0) ~self
 
-(* A grid-6 wave engine whose nodes record their action traces. *)
-let wave_engine ~impl ?batch_cutover ?airtime ?(seed = 42) link =
-  let topology = Topology.grid 6 in
+(* A wave engine (grid 6 unless [topology] says otherwise) whose nodes
+   record their action traces. *)
+let wave_engine ~impl ?airtime ?(seed = 42) ?(topology = Topology.grid 6)
+    ?(program = wave_program) link =
   let trace = Fired_trace.create (Graph.n topology.Topology.graph) in
   let e =
-    Engine.create ~impl ?batch_cutover ?airtime ~topology ~link
+    Engine.create ~impl ?airtime ~topology ~link
       ~rng:(Rng.create seed)
-      ~program:(Fired_trace.node_program trace wave_program)
+      ~program:(Fired_trace.node_program trace program)
       ()
   in
   (e, trace)
 
-let run_wave ~impl ?batch_cutover ?airtime link =
-  let ((e, _) as run) = wave_engine ~impl ?batch_cutover ?airtime link in
+let run_wave ~impl ?airtime link =
+  let ((e, _) as run) = wave_engine ~impl ?airtime link in
   Engine.run_until e 8.0;
   run
 
@@ -276,13 +277,7 @@ let test_engine_states () =
     (fun (name, link) ->
       check_engines name
         (run_wave ~impl:Engine.Reference link)
-        (run_wave ~impl:Engine.Fast link);
-      (* Grid 6 sits below the batch cutover, so the default Fast run above
-         exercises the singleton regime; forcing the cutover to 0 keeps the
-         batch-expansion path under the same oracle. *)
-      check_engines (name ^ "+batch")
-        (run_wave ~impl:Engine.Reference link)
-        (run_wave ~impl:Engine.Fast ~batch_cutover:0 link))
+        (run_wave ~impl:Engine.Fast link))
     links
 
 let test_engine_states_airtime () =
@@ -290,10 +285,7 @@ let test_engine_states_airtime () =
     (fun (name, link) ->
       check_engines (name ^ "+airtime")
         (run_wave ~impl:Engine.Reference ~airtime:0.003 link)
-        (run_wave ~impl:Engine.Fast ~airtime:0.003 link);
-      check_engines (name ^ "+airtime+batch")
-        (run_wave ~impl:Engine.Reference ~airtime:0.003 link)
-        (run_wave ~impl:Engine.Fast ~batch_cutover:0 ~airtime:0.003 link))
+        (run_wave ~impl:Engine.Fast ~airtime:0.003 link))
     links
 
 (* Fault layer: mid-run crash-stops, a revival, link overrides and a loss
@@ -301,8 +293,8 @@ let test_engine_states_airtime () =
    every observable — including the typed failure/revival/link-change
    counters and the fault-layer's extra randomness draws, which are made
    per neighbour in adjacency order in both engines. *)
-let run_wave_faulted ~impl ?batch_cutover link =
-  let ((e, _) as run) = wave_engine ~impl ?batch_cutover link in
+let run_wave_faulted ~impl link =
+  let ((e, _) as run) = wave_engine ~impl link in
   Engine.schedule e ~at:2.5 (fun e -> Engine.fail_node e 7);
   Engine.schedule e ~at:3.0 (fun e -> Engine.set_link_loss e ~a:0 ~b:1 0.6);
   Engine.schedule e ~at:3.5 (fun e -> Engine.fail_node e 14);
@@ -318,10 +310,7 @@ let test_fault_equivalence () =
     (fun (name, link) ->
       check_engines (name ^ "+faults")
         (run_wave_faulted ~impl:Engine.Reference link)
-        (run_wave_faulted ~impl:Engine.Fast link);
-      check_engines (name ^ "+faults+batch")
-        (run_wave_faulted ~impl:Engine.Reference link)
-        (run_wave_faulted ~impl:Engine.Fast ~batch_cutover:0 link))
+        (run_wave_faulted ~impl:Engine.Fast link))
     links
 
 (* The full DAS protocol with crash-stops and a revival during the setup
@@ -350,10 +339,8 @@ let test_das_with_crashes () =
    Both implementations must stop with the same observable state — the
    fast engine re-checks the halt flag between batched recipients. *)
 let test_stop_equivalence () =
-  let run ?batch_cutover impl =
-    let ((e, _) as run) =
-      wave_engine ~impl ?batch_cutover ~seed:9 (Link_model.Lossy 0.2)
-    in
+  let run impl =
+    let ((e, _) as run) = wave_engine ~impl ~seed:9 (Link_model.Lossy 0.2) in
     let seen = ref 0 in
     Engine.subscribe e (fun ev ->
         match ev with
@@ -364,9 +351,118 @@ let test_stop_equivalence () =
     Engine.run_until e 100.0;
     run
   in
-  check_engines "stop@40" (run Engine.Reference) (run Engine.Fast);
-  check_engines "stop@40+batch" (run Engine.Reference)
-    (run ~batch_cutover:0 Engine.Fast)
+  check_engines "stop@40" (run Engine.Reference) (run Engine.Fast)
+
+(* A broadcaster with no neighbours: grid 3 plus an isolated node 9.
+   With node 0 and node 9 flooding, both impls agree on every observable.
+   With node 9 alone, its broadcasts fan out to nobody, so the Fast impl
+   queues no batch for them: after each broadcast the next event is the
+   node's next timer in both impls. *)
+let test_isolated_broadcaster () =
+  let grid = Topology.grid 3 in
+  let topology =
+    {
+      grid with
+      Topology.name = "grid3+isolated";
+      graph = Graph.create ~n:10 (Graph.edges grid.Topology.graph);
+      positions = Array.append grid.Topology.positions [| (100.0, 100.0) |];
+    }
+  in
+  let flooding flood = wave_program_gen ~zero:false ~flood in
+  List.iter
+    (fun (name, link) ->
+      let run ~program impl until =
+        let ((e, _) as run) = wave_engine ~impl ~topology ~program link in
+        Engine.run_until e until;
+        run
+      in
+      let both = flooding (fun v -> v = 0 || v = 9) in
+      let ((fast, _) as f) = run ~program:both Engine.Fast 8.0 in
+      check_engines ("isolated/" ^ name)
+        (run ~program:both Engine.Reference 8.0)
+        f;
+      Alcotest.(check bool)
+        ("isolated/" ^ name ^ ": node 9 broadcast")
+        true
+        ((Engine.broadcasts_by_node fast).(9) > 0);
+      let alone = flooding (fun v -> v = 9) in
+      let next impl =
+        Engine.next_event_time (fst (run ~program:alone impl 3.0))
+      in
+      Alcotest.(check (option (float 0.0)))
+        ("isolated/" ^ name ^ ": next event after node 9's broadcasts")
+        (next Engine.Reference) (next Engine.Fast))
+    links
+
+(* Broadcasts whose every link drops: a link model that never delivers,
+   and each base model under a network-wide loss of 1 armed before the
+   first broadcast.  Nothing is delivered and both impls count the same
+   drops. *)
+let test_all_links_drop () =
+  let cases =
+    ("never", Link_model.Lossy 1.0, false)
+    :: List.map (fun (name, link) -> ("loss 1/" ^ name, link, true)) links
+  in
+  List.iter
+    (fun (name, link, global) ->
+      let run impl =
+        let ((e, _) as run) = wave_engine ~impl link in
+        if global then
+          Engine.schedule e ~at:0.5 (fun e -> Engine.set_global_loss e 1.0);
+        Engine.run_until e 8.0;
+        run
+      in
+      let ((fast, _) as f) = run Engine.Fast in
+      check_engines ("all drop/" ^ name) (run Engine.Reference) f;
+      let c = Engine.counters fast in
+      Alcotest.(check int) ("all drop/" ^ name ^ ": deliveries") 0
+        c.Event.deliveries;
+      Alcotest.(check bool)
+        ("all drop/" ^ name ^ ": drops counted")
+        true
+        (c.Event.drops_link > 0))
+    cases
+
+(* A subscriber stops the run on the [stop_at]-th delivery, which lands
+   inside a batch for most [stop_at] (interior nodes of the 5x5 grid have
+   four neighbours).  The Fast impl re-queues the rest of the batch as the
+   Reference impl's remaining singletons stay queued: both agree at the
+   stop, on the next event time, and after [step] drains the queue. *)
+let test_stop_in_batch () =
+  let topology = Topology.grid 5 and until = 6.0 in
+  let run ~impl ~link ~stop_at =
+    let ((e, _) as run) = wave_engine ~impl ~topology link in
+    let seen = ref 0 in
+    Engine.subscribe e (function
+      | Event.Delivery _ ->
+        incr seen;
+        if !seen = stop_at then Engine.stop e
+      | _ -> ());
+    Engine.run_until e until;
+    let at_stop = (Engine.counters e, Engine.next_event_time e) in
+    while
+      match Engine.next_event_time e with Some at -> at <= until | None -> false
+    do
+      ignore (Engine.step e)
+    done;
+    (at_stop, run)
+  in
+  List.iter
+    (fun (lname, link) ->
+      for stop_at = 1 to 12 do
+        let label = Printf.sprintf "stop/%s/%d" lname stop_at in
+        let (ref_c, ref_next), ref_run =
+          run ~impl:Engine.Reference ~link ~stop_at
+        in
+        let (fast_c, fast_next), fast_run =
+          run ~impl:Engine.Fast ~link ~stop_at
+        in
+        check_counters (label ^ " at stop") ref_c fast_c;
+        Alcotest.(check (option (float 0.0)))
+          (label ^ ": next event") ref_next fast_next;
+        check_engines (label ^ " drained") ref_run fast_run
+      done)
+    links
 
 (* ------------------------------------------------------------------ *)
 (* Coupled sharding: cells stay radio-coupled over cut edges and run  *)
@@ -877,12 +973,11 @@ let prop_coupled_cell_count_invariance =
       && obs.o_bbn = twin.o_bbn)
 
 (* ------------------------------------------------------------------ *)
-(* Coupled delivery batches.  A Fast cell above the batch cutover     *)
-(* folds each broadcast's local deliveries into one event carrying    *)
-(* every recipient's stable key.  On the 33x33 grid (1089 nodes) the  *)
-(* sequential twin and the 1x1 run batch, while 2x2 and 3x3 cells     *)
-(* (<= 289 nodes) and the Reference impl push singletons: all of them *)
-(* must emit the same bus, in the same order, under the same keys.    *)
+(* Coupled delivery batches.  A Fast cell folds each broadcast's      *)
+(* local deliveries into one event carrying every recipient's stable  *)
+(* key; the Reference impl pushes singletons.  On the 33x33 grid the  *)
+(* Fast twin and 1x1, 2x2 and 3x3 Fast cells must emit the Reference  *)
+(* twin's bus, in the same order, under the same keys.                *)
 (* ------------------------------------------------------------------ *)
 
 let grid33 () = Topology.grid 33
@@ -911,23 +1006,6 @@ let emitting_cell (plan : Shard.plan) (ev : int Event.t) =
     cell node
   | Event.Link_changed { a; _ } -> if a < 0 then -1 else cell a
   | Event.Attacker_move _ | Event.Phase_transition _ -> -1
-
-let test_batch_regimes () =
-  let topology = grid33 () in
-  Alcotest.(check bool) "33x33 lies above the cutover" true
-    (Graph.n topology.Topology.graph > Engine.default_batch_cutover);
-  List.iter
-    (fun cells ->
-      let plan = Shard.plan ~cells_x:cells ~cells_y:cells topology in
-      Array.iter
-        (fun c ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%dx%d cell %d lies below the cutover" cells cells
-               c.Shard.id)
-            true
-            (Array.length c.Shard.nodes <= Engine.default_batch_cutover))
-        plan.Shard.cells)
-    [ 2; 3 ]
 
 (* Batched against singleton runs of [program] on 33x33, for every link
    model and both impls, all against the Reference twin (which never
@@ -1087,6 +1165,11 @@ let () =
           Alcotest.test_case "das with mid-setup crashes" `Quick
             test_das_with_crashes;
           Alcotest.test_case "mid-run stop" `Quick test_stop_equivalence;
+          Alcotest.test_case "isolated broadcaster" `Quick
+            test_isolated_broadcaster;
+          Alcotest.test_case "every link drops" `Quick test_all_links_drop;
+          Alcotest.test_case "5x5 stop inside a batch" `Quick
+            test_stop_in_batch;
         ] );
       ( "coupled sharding",
         [
@@ -1110,8 +1193,6 @@ let () =
         ] );
       ( "coupled batch",
         [
-          Alcotest.test_case "33x33 regimes straddle the cutover" `Quick
-            test_batch_regimes;
           Alcotest.test_case "33x33 wave: batched = singleton" `Quick
             test_batch_wave;
           Alcotest.test_case "33x33 zero-delay timers split" `Quick

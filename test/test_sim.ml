@@ -629,6 +629,36 @@ let test_subscribers_see_drops () =
   Alcotest.(check int) "subscriber count matches tally" !drops
     (Engine.counters e).Event.drops_link
 
+(* Every event reaches every subscriber, the subscribers in registration
+   order: six of them each log their index beside the event, so the log
+   must read 0..5 per event.  A lossy link adds drops to the deliveries,
+   broadcasts and timer fires. *)
+let test_subscription_order () =
+  let e = make_engine ~dim:4 ~link:(Link_model.Lossy 0.3) () in
+  let log = ref [] in
+  for i = 0 to 5 do
+    Engine.subscribe e (fun ev -> log := (i, ev) :: !log)
+  done;
+  Engine.emit e (Event.Phase_transition { time = 0.0; phase = "setup" });
+  Engine.run_until e 10.0;
+  let log = Array.of_list (List.rev !log) in
+  let events = Event.total (Engine.counters e) in
+  Alcotest.(check bool) "drops and deliveries both seen" true
+    ((Engine.counters e).Event.drops_link > 0 && Engine.deliveries e > 0);
+  Alcotest.(check int) "six notifications per event" (6 * events)
+    (Array.length log);
+  Array.iteri
+    (fun j (i, ev) ->
+      Alcotest.(check int)
+        (Printf.sprintf "notification %d order" j)
+        (j mod 6) i;
+      if i > 0 then
+        Alcotest.(check bool)
+          (Printf.sprintf "notification %d is the same event" j)
+          true
+          (ev == snd log.(j - 1)))
+    log
+
 let test_emit_reaches_subscribers_and_counters () =
   let e = make_engine ~dim:3 () in
   let heard = ref [] in
@@ -860,6 +890,8 @@ let () =
             test_collision_drops_counted;
           Alcotest.test_case "subscribers see drops" `Quick
             test_subscribers_see_drops;
+          Alcotest.test_case "subscription order" `Quick
+            test_subscription_order;
           Alcotest.test_case "emit" `Quick
             test_emit_reaches_subscribers_and_counters;
           Alcotest.test_case "emit does not perturb" `Quick

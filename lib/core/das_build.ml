@@ -13,10 +13,7 @@ let default_delta = 100
    runs scramble it too; [salt = 0] keeps the plain identifier order. *)
 let node_order_key ~salt v =
   if salt = 0 then v
-  else begin
-    let r = Slpdas_util.Rng.create ((salt * 2_654_435_761) lxor (v * 40_503)) in
-    Int64.to_int (Int64.logand (Slpdas_util.Rng.bits64 r) 0x3FFFFFFFFFFFFFFFL)
-  end
+  else Slpdas_util.Rng.first_bits62 ((salt * 2_654_435_761) lxor (v * 40_503))
 
 (* Nodes [v] grouped by [key v] into [rows] rows, as a CSR (offsets,
    members) with each row in ascending node order; a negative key leaves
@@ -44,175 +41,236 @@ let group ~rows ~n key =
 
 let children parent =
   let n = Array.length parent in
-  group ~rows:n ~n (fun v -> match parent.(v) with Some p -> p | None -> -1)
+  group ~rows:n ~n (fun v ->
+      match parent.(v) with
+      | Some p when p < 0 || p >= n ->
+        invalid_arg "Das_build.children: parent out of range"
+      | Some p -> p
+      | None -> -1)
+
+(* The slot fixpoint's state: the schedule's live slot store, which it
+   updates in place, and every per-node input a visit reads, each copied
+   into an array once so that a visit makes no call through a closure or
+   into another module.  Every index the visits use is a node of the
+   graph (or its position in [by_hop]): [fixpoint] checks that the
+   schedule, [parent] and [hop] cover exactly the graph's nodes and that
+   every parent is one of them, so the visits read and write without
+   bounds checks. *)
+type fix = {
+  sink : int;
+  delta : int;  (* the virtual slot the sink advertises *)
+  strong : bool;
+  slots : int array;  (* [Schedule.slots_for_update] *)
+  adj : int array array;
+  two_hop : int array array;  (* the graph's shared rows *)
+  (* Where the partners [m > v] start in [two_hop.(v)]: rows are sorted,
+     so they form a suffix, and the partners [m < v] the prefix before
+     it. *)
+  above : int array;
+  hop : int array;
+  order_key : int array;
+  parent : int array;  (* [-1] for none *)
+  pinned : Bytes.t;  (* ['\001'] for a pinned node *)
+  position : int array;  (* node -> index in the phase-1 visit order *)
+  child_offsets : int array;
+  child : int array;
+  dirty1 : Bytes.t;  (* by phase-1 position *)
+  dirty2 : Bytes.t;  (* by node *)
+  mutable changed : bool;
+}
+
+external ( .!() ) : int array -> int -> int = "%array_unsafe_get"
+external ( .!()<- ) : int array -> int -> int -> unit = "%array_unsafe_set"
+external row : int array array -> int -> int array = "%array_unsafe_get"
+
+let mark flags i = Bytes.unsafe_set flags i '\001'
+
+let is_set flags i = Bytes.unsafe_get flags i <> '\000'
+
+(* Slot as seen by children: the sink advertises the virtual slot ∆. *)
+let view st v = if v = st.sink then st.delta else st.slots.!(v)
+
+(* [u] takes slot [s].  Marks every visit that reads [u]'s slot: its own
+   and its neighbours' and children's relower, its own resolve, and the
+   resolve of each 2-hop partner [m < u] — a resolve probes only partners
+   above it, so no other visit reads [u]'s slot. *)
+let set st u s =
+  st.slots.!(u) <- s;
+  st.changed <- true;
+  let dirty1 = st.dirty1 and position = st.position in
+  mark dirty1 position.!(u);
+  let neighbours = row st.adj u in
+  for i = 0 to Array.length neighbours - 1 do
+    mark dirty1 position.!(neighbours.!(i))
+  done;
+  for i = st.child_offsets.!(u) to st.child_offsets.!(u + 1) - 1 do
+    mark dirty1 position.!(st.child.!(i))
+  done;
+  mark st.dirty2 u;
+  let partners = row st.two_hop u in
+  for i = 0 to st.above.!(u) - 1 do
+    mark st.dirty2 partners.!(i)
+  done
 
 (* Smallest assigned slot among [v]'s shortest-path parents other than the
    sink, never above [bound]. *)
-let rec parents_floor schedule ~sink ~hop v neighbours i bound =
-  if i = Array.length neighbours then bound
-  else begin
-    let m = neighbours.(i) in
-    let bound =
-      if m <> sink && hop.(m) = hop.(v) - 1 then begin
-        let s = Schedule.raw_slot schedule m in
-        if s <> Schedule.none && s < bound then s else bound
-      end
-      else bound
-    in
-    parents_floor schedule ~sink ~hop v neighbours (i + 1) bound
+let parents_floor st v bound =
+  let neighbours = row st.adj v and up = st.hop.!(v) - 1 in
+  let bound = ref bound in
+  for i = 0 to Array.length neighbours - 1 do
+    let m = neighbours.!(i) in
+    if m <> st.sink && st.hop.!(m) = up then begin
+      let s = st.slots.!(m) in
+      if s <> Schedule.none && s < !bound then bound := s
+    end
+  done;
+  !bound
+
+(* Whether some neighbour of [v] is the sink or transmits after slot
+   [sv]. *)
+let has_forwarder st v sv =
+  let neighbours = row st.adj v in
+  let i = ref 0 and found = ref false in
+  while (not !found) && !i < Array.length neighbours do
+    let m = neighbours.!(!i) in
+    if m = st.sink || st.slots.!(m) > sv then found := true;
+    incr i
+  done;
+  !found
+
+(* Child-below-parent repair, outwards from the sink (the update mode of
+   Fig. 2: a child whose slot is not below its parent's re-lowers). *)
+let relower st v =
+  let sv = st.slots.!(v) in
+  if v <> st.sink && sv <> Schedule.none && not (is_set st.pinned v) then begin
+    let p = st.parent.!(v) in
+    if st.strong then begin
+      (* Strong DAS (Def. 2): below the chosen parent and every
+         shortest-path parent (condition 3). *)
+      let bound =
+        if p < 0 then max_int
+        else
+          let ps = view st p in
+          if ps = Schedule.none then max_int else ps
+      in
+      let bound = if st.hop.!(v) > 0 then parents_floor st v bound else bound in
+      if bound < max_int && sv >= bound then set st v (bound - 1)
+    end
+    else if p >= 0 && not (has_forwarder st v sv) then begin
+      (* Weak DAS (Def. 3): re-lower only when no neighbour at all
+         transmits later — the least repair that keeps data flowing, and
+         the most that can be done without erasing the decoy gradient
+         Phase 3 planted (a blanket below-parent cascade would hand the
+         attacker a fresh descent from the decoy end). *)
+      let ps = view st p in
+      if ps <> Schedule.none && sv >= ps then set st v (ps - 1)
+    end
   end
 
-(* Whether some neighbour from index [i] on is the sink or transmits after
-   slot [sv]. *)
-let rec has_forwarder schedule ~sink sv neighbours i =
-  i < Array.length neighbours
-  && (let m = neighbours.(i) in
-      m = sink
-      || Schedule.raw_slot schedule m > sv
-      || has_forwarder schedule ~sink sv neighbours (i + 1))
+(* [later st a b]: [a] sorts after [b] by (hop, salted key, id), so [a] is
+   the one that decrements when they collide. *)
+let later st a b =
+  let ha = st.hop.!(a) and hb = st.hop.!(b) in
+  if ha <> hb then ha > hb
+  else begin
+    let ka = st.order_key.!(a) and kb = st.order_key.!(b) in
+    if ka <> kb then ka > kb else a > b
+  end
+
+(* 2-hop collision resolution: the node farther from the sink (ties by
+   larger id) decrements, as in the process action of Fig. 2.  [sv] stays
+   the slot read at the start of the visit even after [v] loses a
+   collision: later probes compare against it, and that order is part of
+   the schedule the oracle tests pin. *)
+let resolve st v =
+  let slots = st.slots in
+  let sv = slots.!(v) in
+  if sv <> Schedule.none then begin
+    let partners = row st.two_hop v in
+    for i = st.above.!(v) to Array.length partners - 1 do
+      let m = partners.!(i) in
+      if slots.!(m) = sv then begin
+        let loser = if later st v m then v else m in
+        let winner = if loser = v then m else v in
+        if not (is_set st.pinned loser) then set st loser (slots.!(loser) - 1)
+        else if not (is_set st.pinned winner) then
+          set st winner (slots.!(winner) - 1)
+      end
+    done
+  end
 
 (* [hop] is the hop distance from the schedule's sink. *)
 let fixpoint ?(delta = default_delta) ?(salt = 0) ~strong g ~hop ~schedule
     ~parent ~pinned =
   let n = Slpdas_wsn.Graph.n g in
-  let sink = Schedule.sink schedule in
-  let none = Schedule.none in
-  let by_hop = Array.init n Fun.id in
-  Array.sort
-    (fun a b ->
-      match Int.compare hop.(a) hop.(b) with 0 -> Int.compare a b | c -> c)
-    by_hop;
+  if Schedule.n schedule <> n || Array.length parent <> n
+     || Array.length hop <> n
+  then invalid_arg "Das_build: schedule, parent array and graph sizes differ";
+  (* Phase-1 visit order: by hop, then id (unreachable nodes, hop -1,
+     first). *)
+  let max_hop = Array.fold_left Int.max 0 hop in
+  let _, by_hop = group ~rows:(max_hop + 2) ~n (fun v -> hop.(v) + 1) in
   let position = Array.make n 0 in
   Array.iteri (fun i v -> position.(v) <- i) by_hop;
-  let slot v = Schedule.raw_slot schedule v in
-  (* Slot as seen by children: the sink advertises the virtual slot ∆. *)
-  let view v = if v = sink then delta else slot v in
   let two_hop = Slpdas_wsn.Graph.two_hop g in
-  (* Rows are sorted, so the partners [m > v] that phase 2 probes form a
-     suffix; [above.(v)] is where it starts. *)
   let above =
     Array.init n (fun v ->
-        let row = two_hop.(v) in
-        let i = ref (Array.length row) in
-        while !i > 0 && row.(!i - 1) > v do
+        let partners = two_hop.(v) in
+        let i = ref (Array.length partners) in
+        while !i > 0 && partners.(!i - 1) > v do
           decr i
         done;
         !i)
   in
-  let order_key = Array.init n (node_order_key ~salt) in
   (* [parent] may name any node, neighbour or not (repair accepts arbitrary
      arrays), so a slot change must also reach the nodes whose parent it
-     is. *)
+     is.  [children] also rejects a parent outside the graph. *)
   let child_offsets, child = children parent in
-  (* Dirty sets.  A visit reads only the slots of the node, its neighbours,
-     its parent and (phase 2) its 2-hop neighbours, so with [pinned] pure a
-     node none of those changed for since its last visit would assign
-     nothing and is skipped.  Phase-1 flags are indexed by [by_hop]
-     position and phase-2 flags by node, so each pass visits dirty nodes in
-     full-sweep order; a mark behind the cursor is picked up by the next
-     pass, when a full sweep would next reach that node.  Each pass thus
-     makes the same assignments as a full sweep, and [changed] and the fuel
-     bound count the same passes. *)
-  let dirty1 = Array.make n true and dirty2 = Array.make n true in
-  let changed = ref true in
-  let assign u s =
-    Schedule.assign schedule u s;
-    changed := true;
-    dirty1.(position.(u)) <- true;
-    let neighbours = Slpdas_wsn.Graph.neighbours g u in
-    for i = 0 to Array.length neighbours - 1 do
-      dirty1.(position.(neighbours.(i))) <- true
-    done;
-    for i = child_offsets.(u) to child_offsets.(u + 1) - 1 do
-      dirty1.(position.(child.(i))) <- true
-    done;
-    dirty2.(u) <- true;
-    let row = two_hop.(u) in
-    for i = 0 to Array.length row - 1 do
-      dirty2.(row.(i)) <- true
-    done
-  in
-  (* Child-below-parent repair, outwards from the sink (the update mode of
-     Fig. 2: a child whose slot is not below its parent's re-lowers). *)
-  let relower v =
-    let sv = slot v in
-    if v <> sink && sv <> none && not (pinned v) then begin
-      let neighbours = Slpdas_wsn.Graph.neighbours g v in
-      if strong then begin
-        (* Strong DAS (Def. 2): below the chosen parent and every
-           shortest-path parent (condition 3). *)
-        let bound =
-          match parent.(v) with
-          | Some p ->
-            let ps = view p in
-            if ps = none then max_int else ps
-          | None -> max_int
-        in
-        let bound =
-          if hop.(v) > 0 then
-            parents_floor schedule ~sink ~hop v neighbours 0 bound
-          else bound
-        in
-        if bound < max_int && sv >= bound then assign v (bound - 1)
-      end
-      else if not (has_forwarder schedule ~sink sv neighbours 0) then begin
-        (* Weak DAS (Def. 3): re-lower only when no neighbour at all
-           transmits later — the least repair that keeps data flowing, and
-           the most that can be done without erasing the decoy gradient
-           Phase 3 planted (a blanket below-parent cascade would hand the
-           attacker a fresh descent from the decoy end). *)
-        match parent.(v) with
-        | Some p ->
-          let ps = view p in
-          if ps <> none && sv >= ps then assign v (ps - 1)
-        | None -> ()
-      end
-    end
-  in
-  (* [later a b]: [a] sorts after [b] by (hop, salted key, id), so [a] is
-     the one that decrements when they collide. *)
-  let later a b =
-    match Int.compare hop.(a) hop.(b) with
-    | 0 -> (
-      match Int.compare order_key.(a) order_key.(b) with
-      | 0 -> a > b
-      | c -> c > 0)
-    | c -> c > 0
-  in
-  (* 2-hop collision resolution: the node farther from the sink (ties by
-     larger id) decrements, as in the process action of Fig. 2.  [sv] stays
-     the slot read at the start of the visit even after [v] loses a
-     collision: later probes compare against it, and that order is part of
-     the schedule the oracle tests pin. *)
-  let resolve v =
-    let sv = slot v in
-    if sv <> none then
-      let row = two_hop.(v) in
-      for i = above.(v) to Array.length row - 1 do
-        let m = row.(i) in
-        if slot m = sv then begin
-          let loser = if later v m then v else m in
-          let winner = if loser = v then m else v in
-          if not (pinned loser) then assign loser (slot loser - 1)
-          else if not (pinned winner) then assign winner (slot winner - 1)
-        end
-      done
+  let st =
+    {
+      sink = Schedule.sink schedule;
+      delta;
+      strong;
+      slots = Schedule.slots_for_update schedule;
+      adj = Array.init n (Slpdas_wsn.Graph.neighbours g);
+      two_hop;
+      above;
+      hop;
+      order_key = Array.init n (node_order_key ~salt);
+      parent = Array.map (function Some p -> p | None -> -1) parent;
+      pinned = Bytes.init n (fun v -> if pinned v then '\001' else '\000');
+      position;
+      child_offsets;
+      child;
+      (* Dirty sets.  A visit reads only the slots of the node, its
+         neighbours, its parent and (phase 2) its 2-hop partners above it,
+         so a node none of those changed for since its last visit would
+         assign nothing and is skipped.  Phase-1 flags are indexed by
+         [by_hop] position and phase-2 flags by node, so each pass visits
+         dirty nodes in full-sweep order; a mark behind the cursor is
+         picked up by the next pass, when a full sweep would next reach
+         that node.  Each pass thus makes the same assignments as a full
+         sweep, and [changed] and the fuel bound count the same passes. *)
+      dirty1 = Bytes.make n '\001';
+      dirty2 = Bytes.make n '\001';
+      changed = true;
+    }
   in
   let fuel = ref ((50 * n) + 100) in
-  while !changed do
+  while st.changed do
     decr fuel;
     if !fuel < 0 then failwith "Das_build: slot fixpoint did not converge";
-    changed := false;
+    st.changed <- false;
     for i = 0 to n - 1 do
-      if dirty1.(i) then begin
-        dirty1.(i) <- false;
-        relower by_hop.(i)
+      if is_set st.dirty1 i then begin
+        Bytes.set st.dirty1 i '\000';
+        relower st by_hop.(i)
       end
     done;
     for v = 0 to n - 1 do
-      if dirty2.(v) then begin
-        dirty2.(v) <- false;
-        resolve v
+      if is_set st.dirty2 v then begin
+        Bytes.set st.dirty2 v '\000';
+        resolve st v
       end
     done
   done

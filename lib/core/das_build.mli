@@ -90,17 +90,21 @@ val repair :
     never modified (used by slot refinement to protect the decoy path).
     Mutates [schedule] in place.
 
-    Each pass re-examines only nodes whose own slot, a neighbour's, their
-    parent's or a 2-hop neighbour's slot changed since they were last
-    examined, so [pinned] must be pure: it is consulted only for those
-    nodes, and an answer that changed between calls would go unnoticed.
-    Nodes are reached through their parent by a reverse index built from
-    [parent], so any parent array is valid, including entries that are
-    not neighbours.
+    [pinned] is read once per node, before the first pass, so it must be
+    pure and total: an answer that changes later goes unnoticed, and one
+    that raises fails the whole repair, even for a node no pass would
+    have examined.  Each pass then re-examines only nodes whose own slot,
+    a neighbour's, their parent's or a 2-hop neighbour's slot changed
+    since they were last examined.  Nodes are reached through their
+    parent by a reverse index built from [parent], so any parent array
+    of the graph's size is valid, including entries that are not
+    neighbours.
 
     With [strong = false] (default) only the chosen-parent ordering is
     enforced — yielding a {e weak} DAS, the most the refined schedule can
     satisfy: the redirection deliberately places a decoy below nodes whose
     shortest-path parent it is, which strong repair would undo.  [build]
     itself always uses strong repair, so unrefined schedules satisfy Def. 2.
-    @raise Failure if no fixpoint is reached within the fuel bound. *)
+    @raise Failure if no fixpoint is reached within the fuel bound.
+    @raise Invalid_argument if [schedule] or [parent] does not cover
+    exactly the graph's nodes, or a parent is not a node of the graph. *)

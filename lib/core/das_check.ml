@@ -35,12 +35,13 @@ let compare_violation x y =
     | c -> c)
   | c -> c
 
+(* Both read the graph's shared 2-hop rows (memoised by [Graph.two_hop]). *)
 let non_colliding g sched v =
   let s = Schedule.raw_slot sched v in
   s <> Schedule.none
-  && List.for_all
+  && Array.for_all
        (fun m -> Schedule.raw_slot sched m <> s)
-       (Slpdas_wsn.Graph.two_hop_neighbourhood g v)
+       (Slpdas_wsn.Graph.two_hop g).(v)
 
 let collisions g sched =
   let two_hop = Slpdas_wsn.Graph.two_hop g in

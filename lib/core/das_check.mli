@@ -27,10 +27,13 @@ val violation_to_string : violation -> string
 
 val non_colliding : Slpdas_wsn.Graph.t -> Schedule.t -> int -> bool
 (** [non_colliding g sched v] is Def. 1: [v] is assigned and no node in its
-    2-hop neighbourhood [CG(v)] shares its slot. *)
+    2-hop neighbourhood [CG(v)] shares its slot.  It reads the graph's
+    shared {!Slpdas_wsn.Graph.two_hop} rows, so the first call on a graph
+    builds them for every vertex and later calls reuse them. *)
 
 val collisions : Slpdas_wsn.Graph.t -> Schedule.t -> violation list
-(** All condition-4 violations. *)
+(** All condition-4 violations, read off the graph's shared
+    {!Slpdas_wsn.Graph.two_hop} rows. *)
 
 val check_strong : Slpdas_wsn.Graph.t -> Schedule.t -> violation list
 (** [check_strong g sched] is empty iff [sched] is a strong DAS for [g]

@@ -32,6 +32,10 @@ let clear_slot t v =
   t.slots.(v) <- none;
   t.digest_memo <- None
 
+let slots_for_update t =
+  t.digest_memo <- None;
+  t.slots
+
 let raw_slot t v =
   check_node t v;
   t.slots.(v)

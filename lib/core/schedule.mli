@@ -39,6 +39,15 @@ val raw_slot : t -> int -> int
     hot paths.  Compare against [none] before using the value as a slot.
     @raise Invalid_argument if [v] is out of range. *)
 
+val slots_for_update : t -> int array
+(** [slots_for_update t] is [t]'s live slot store: entry [v] is
+    [raw_slot t v], and a write to it is [v]'s new slot.  It is for loops
+    that read and write many slots per step (the DAS fixpoint) and would
+    otherwise pay a bounds check and a memo store per access.  It clears
+    the {!digest} memo, so every write must land before the next
+    [digest]; and writes must keep {!assign}'s contract by hand: never the
+    sink's entry, never {!none}. *)
+
 val slot : t -> int -> int option
 (** [slot t v] is [v]'s slot, or [None] if unassigned (always [None] for the
     sink). *)

@@ -6,6 +6,11 @@ type t = {
      once computed the memo stays valid.  A concurrent double-compute writes
      the same text twice — benign. *)
   mutable fingerprint_memo : string option;
+  (* Every vertex's 2-hop row, built on first use and then shared by every
+     caller.  Atomic, so a row table built on one domain is fully visible
+     to every other domain that reads the memo; a concurrent double-build
+     stores equal rows twice — benign. *)
+  two_hop_memo : int array array option Atomic.t;
 }
 
 module Int_set = Set.Make (Int)
@@ -31,7 +36,13 @@ let create ~n edges =
   let num_edges =
     Array.fold_left (fun acc a -> acc + Array.length a) 0 adj / 2
   in
-  { n; adj; num_edges; fingerprint_memo = None }
+  {
+    n;
+    adj;
+    num_edges;
+    fingerprint_memo = None;
+    two_hop_memo = Atomic.make None;
+  }
 
 (* Bulk-build path: adjacency handed over as one CSR pair (offsets +
    targets).  Rows are validated, sliced and kept — no per-vertex sets, no
@@ -64,7 +75,13 @@ let of_csr ~n ~offsets ~targets =
         Array.sub targets offsets.(u) (offsets.(u + 1) - offsets.(u)))
   in
   let g =
-    { n; adj; num_edges = Array.length targets / 2; fingerprint_memo = None }
+    {
+      n;
+      adj;
+      num_edges = Array.length targets / 2;
+      fingerprint_memo = None;
+      two_hop_memo = Atomic.make None;
+    }
   in
   (* Symmetry check via binary search in the mirror row: O(m log degree). *)
   let rec mem a v lo hi =
@@ -276,13 +293,21 @@ let two_hop_neighbourhood g u =
 
 (* One scratch buffer, as wide as the widest row, serves every row; each
    row is then copied out at its exact size. *)
-let two_hop g =
+let build_two_hop g =
   let width = ref 0 in
   for u = 0 to g.n - 1 do
     width := max !width (two_hop_width g u)
   done;
   let buf = Array.make !width 0 in
   Array.init g.n (fun u -> Array.sub buf 0 (fill_two_hop g buf u))
+
+let two_hop g =
+  match Atomic.get g.two_hop_memo with
+  | Some rows -> rows
+  | None ->
+    let rows = build_two_hop g in
+    Atomic.set g.two_hop_memo (Some rows);
+    rows
 
 let shortest_path_parents g ~dist u =
   if Array.length dist <> g.n then

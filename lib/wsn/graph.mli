@@ -91,15 +91,17 @@ val two_hop_neighbourhood : t -> int -> int list
 
 val two_hop : t -> int array array
 (** [two_hop g] is every vertex's 2-hop neighbourhood at once: row [u] is
-    [two_hop_neighbourhood g u] as an array.  Built through one scratch
-    row, without per-vertex lists — about a millisecond on a 101x101 grid
-    — and computed afresh on each call, so loops over every vertex's
-    neighbourhood (DAS fixpoints, collision checks) should call it once
-    and keep the rows.  The rows are separate small arrays rather than one
-    flat table: OCaml 5 allocates blocks over 128 words outside its
-    small-object pools, and later small allocations do not reuse that
-    memory once it is freed (a flat table per call raised the serve
-    benchmark's peak RSS by 16%). *)
+    [two_hop_neighbourhood g u] as an array.  Built on the first call
+    through one scratch row, without per-vertex lists, then memoised: every
+    later call on the same graph returns the same rows, physically, so the
+    DAS builder, its repair and the collision checks share one table per
+    graph.  The rows are owned by the graph and shared by every caller, so
+    callers must never mutate them; they stay alive as long as the graph
+    does (about 14 words per vertex on a 4-neighbour grid).  The rows are
+    separate small arrays rather than one flat table: OCaml 5 allocates
+    blocks over 128 words outside its small-object pools, and later small
+    allocations do not reuse that memory once it is freed (a flat table
+    per call raised the serve benchmark's peak RSS by 16%). *)
 
 val shortest_path_parents : t -> dist:int array -> int -> int list
 (** [shortest_path_parents g ~dist u] lists the neighbours of [u] that lie on

@@ -1082,6 +1082,13 @@ let test_oracle_build_large_grid () =
   check_build_matches_oracle "grid 101 seed 1" ~seed:1 topo.Topology.graph
     ~sink:topo.Topology.sink
 
+(* A corner sink roughly doubles the work of a centre one (about 987k slot
+   assignments against 477k), through longer decrement cascades. *)
+let test_oracle_build_large_grid_corner () =
+  let topo = Topology.grid 101 in
+  check_build_matches_oracle "grid 101 corner sink seed 1" ~seed:1
+    topo.Topology.graph ~sink:0
+
 let test_oracle_build_unit_disk () =
   let built = ref 0 in
   for seed = 1 to 40 do
@@ -1204,6 +1211,22 @@ let test_oracle_repair_foreign_parent_line () =
     [ (1, 50); (2, 49); (3, 10); (4, 20); (5, 48) ]
     (Schedule.to_alist schedule)
 
+(* The fixpoint reads its inputs without bounds checks, so [repair] must
+   reject a parent array of the wrong size or a parent outside the graph
+   before the first pass. *)
+let test_repair_rejects_bad_inputs () =
+  let g = Graph.create ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
+  let schedule = Schedule.of_alist ~n:4 ~sink:0 [ (1, 50); (2, 49); (3, 48) ] in
+  let pinned _ = false in
+  let rejects label parent =
+    match Das_build.repair g ~schedule ~parent ~pinned with
+    | () -> Alcotest.failf "%s: repair accepted it" label
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "short parent array" [| None; Some 0; Some 1 |];
+  rejects "parent past the last node" [| None; Some 0; Some 1; Some 4 |];
+  rejects "negative parent" [| None; Some 0; Some (-2); Some 2 |]
+
 (* [Slp_refine.refine]'s last draw is its repair salt, [1 + Rng.int r
    0x3FFF_FFFF], which takes one 64-bit step.  Count the steps the seeded
    build and refinement took by finding the generator's next output in a
@@ -1318,6 +1341,8 @@ let () =
           Alcotest.test_case "build, grids 5-41" `Quick test_oracle_build_grids;
           Alcotest.test_case "build, seeded 101x101" `Quick
             test_oracle_build_large_grid;
+          Alcotest.test_case "build, seeded 101x101 corner sink" `Quick
+            test_oracle_build_large_grid_corner;
           Alcotest.test_case "build, unit disks" `Quick test_oracle_build_unit_disk;
           Alcotest.test_case "repair, pinned sets" `Quick test_oracle_repair_pinned;
           Alcotest.test_case "repair, foreign parents" `Quick
@@ -1325,6 +1350,8 @@ let () =
           Alcotest.test_case "repair, foreign parent on a line" `Quick
             test_oracle_repair_foreign_parent_line;
           Alcotest.test_case "refine outputs" `Quick test_oracle_refine;
+          Alcotest.test_case "repair rejects bad inputs" `Quick
+            test_repair_rejects_bad_inputs;
         ] );
       ( "attacker",
         [

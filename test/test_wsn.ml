@@ -168,6 +168,58 @@ let prop_two_hop_table =
       in
       two_hop_rows_match g)
 
+(* [two_hop] is memoised per graph: a second call returns the same rows,
+   physically, and the DAS layers that read them (the seeded build, the
+   refinement's repair, the strong check and [non_colliding]) leave them
+   as they were. *)
+let check_two_hop_shared label g ~sink =
+  let rows = Graph.two_hop g in
+  Alcotest.(check bool) (label ^ ": second call shares the rows") true
+    (Graph.two_hop g == rows);
+  Alcotest.(check bool) (label ^ ": rows = two_hop_neighbourhood") true
+    (two_hop_rows_match g);
+  let before = Array.map Array.copy rows in
+  let das = Slpdas_core.Das_build.build ~rng:(Rng.create 7) g ~sink in
+  let schedule = das.Slpdas_core.Das_build.schedule in
+  Alcotest.(check int) (label ^ ": strong DAS") 0
+    (List.length (Slpdas_core.Das_check.check_strong g schedule));
+  for v = 0 to Graph.n g - 1 do
+    ignore (Slpdas_core.Das_check.non_colliding g schedule v)
+  done;
+  ignore
+    (Slpdas_core.Slp_refine.refine ~rng:(Rng.create 7) g ~das
+       ~search_distance:2 ~change_length:3);
+  Alcotest.(check bool) (label ^ ": still shared") true
+    (Graph.two_hop g == rows);
+  Alcotest.(check (array (array int))) (label ^ ": rows unchanged") before
+    rows
+
+let test_two_hop_shared () =
+  List.iter
+    (fun dim ->
+      let topo = Topology.grid dim in
+      check_two_hop_shared
+        (Printf.sprintf "grid %d" dim)
+        topo.Topology.graph ~sink:topo.Topology.sink;
+      check_two_hop_shared
+        (Printf.sprintf "grid %d corner" dim)
+        (Topology.grid dim).Topology.graph ~sink:0)
+    [ 3; 7; 11; 21 ];
+  let drawn = ref 0 in
+  for seed = 1 to 20 do
+    match
+      Topology.random_unit_disk (Rng.create seed) ~n:(20 + seed) ~side:40.0
+        ~range:12.0 ~max_attempts:1
+    with
+    | None -> ()
+    | Some topo ->
+      incr drawn;
+      check_two_hop_shared
+        (Printf.sprintf "unit disk %d" seed)
+        topo.Topology.graph ~sink:topo.Topology.sink
+  done;
+  Alcotest.(check bool) "some unit disks drawn" true (!drawn > 5)
+
 let test_shortest_path_parents () =
   let topo = Topology.grid 3 in
   let g = topo.Topology.graph in
@@ -373,6 +425,8 @@ let () =
           Alcotest.test_case "two-hop rows: empty, single, isolated" `Quick
             test_two_hop_table_edges;
           QCheck_alcotest.to_alcotest prop_two_hop_table;
+          Alcotest.test_case "two-hop rows shared and unchanged by DAS layers"
+            `Quick test_two_hop_shared;
           Alcotest.test_case "shortest-path parents" `Quick
             test_shortest_path_parents;
           Alcotest.test_case "shortest path" `Quick test_shortest_path;
